@@ -3,8 +3,8 @@
 Two halves:
 
 **Kill matrix** - for every registered durability fault site
-(``wal.append``, ``wal.fsync``, ``wal.replay``, ``checkpoint.truncate``,
-``remote.heartbeat``) a child process serves real admissions and is
+(``wal.append``, ``wal.fsync``, ``wal.replay``, ``checkpoint.truncate``)
+a child process serves real admissions and is
 SIGKILLed *at the site* via a ``REPRO_FAULT_PLAN`` ``:kill`` rule.  A
 never-killed control run records the expected store image after every
 admission; recovery (``DebloatEngine.open()`` with the workload runner
@@ -15,8 +15,7 @@ exactly that admission; a kill after the write but before the physical
 sync (``wal.fsync``) keeps it (process death doesn't drop flushed OS
 buffers); a kill between checkpoint export and WAL truncation loses
 nothing (the watermark skips the double-covered records); a kill during
-replay is free (replay never writes); a parent kill during a heartbeat
-loses nothing remote (workers auto-export every committed mutation).
+replay is free (replay never writes).
 
 **Timing** - replay-from-WAL against a warm pipeline cache must beat a
 cold rebuild (empty cache, full pipeline per admission) by
@@ -65,9 +64,6 @@ KILL_MATRIX = {
         "seed=1;checkpoint.truncate@1:kill", "traffic-checkpoint", None
     ),
     "wal.replay": ("seed=1;wal.replay@2:kill", "recover", None),
-    "remote.heartbeat": (
-        "seed=1;remote.heartbeat@1:kill", "remote-traffic", None
-    ),
 }
 
 
@@ -77,7 +73,7 @@ import json, os, sys, time
 mode, root, scale = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
 from repro.api import AdmitRequest, DebloatEngine, EngineConfig
-from repro.api.config import DurabilityConfig, LivenessConfig
+from repro.api.config import DurabilityConfig
 from repro.core import serialize
 from repro.core.debloat import DebloatOptions
 from repro.testing import faults
@@ -94,7 +90,7 @@ WIDS = [
 ]
 
 
-def cfg(dur_dir=None, fsync="batch", remote=0):
+def cfg(dur_dir=None, fsync="batch"):
     kw = dict(
         scale=scale,
         options=DebloatOptions(runtime_comparison_top_n=0),
@@ -104,16 +100,12 @@ def cfg(dur_dir=None, fsync="batch", remote=0):
         kw["durability"] = DurabilityConfig(
             enabled=True, directory=dur_dir, fsync=fsync
         )
-    if remote:
-        kw["remote_shards"] = remote
-        kw["snapshot_dir"] = os.path.join(root, "remote-snap")
-        kw["liveness"] = LivenessConfig(op_deadline_s=60.0)
     return EngineConfig(**kw)
 
 
 def export_blob(engine):
     shards = sorted(
-        engine.federation.local_shards(),
+        engine.federation.shards(),
         key=lambda s: s.store.framework.name,
     )
     return b"".join(
@@ -153,10 +145,10 @@ elif mode == "recover":
     engine = DebloatEngine(cfg(dur_dir)).open()
     wall = time.perf_counter() - start
     write(os.path.join(root, "recovered.bin"), export_blob(engine))
-    for s in engine.federation.local_shards():
+    for s in engine.federation.shards():
         s.store.validate_invariants()  # includes block refcount checks
     k = sum(
-        s.store.generation for s in engine.federation.local_shards()
+        s.store.generation for s in engine.federation.shards()
     )
     report = dict(engine.recovery)
     engine.close()
@@ -166,45 +158,6 @@ elif mode == "recover":
         "snapshot_loaded": report["snapshot_loaded"],
         "recovery_s": round(wall, 4),
     }))
-elif mode == "remote-traffic":
-    expect = sys.argv[4]
-    engine = DebloatEngine(cfg(remote=1)).open()
-    sups = list(engine._remote_pool.supervisors.values())
-    for k, wid in enumerate(WIDS, start=1):
-        engine.admit(AdmitRequest(workload_id=wid))
-        blob = b"".join(
-            serialize.payload_dumps(
-                sup.call("pull_state", framework=fw)["state"]
-            )
-            for sup in sups
-            for fw in sorted(sup.call("ping")["frameworks"])
-        )
-        write(os.path.join(expect, f"{k}.bin"), blob)
-    while True:  # the remote.heartbeat kill rule fires here
-        for sup in sups:
-            sup.heartbeat()
-        time.sleep(0.01)
-elif mode == "remote-recover":
-    forbid_runs()  # the parent must not run workloads either
-    start = time.perf_counter()
-    engine = DebloatEngine(cfg(remote=1)).open()
-    sups = list(engine._remote_pool.supervisors.values())
-    blob = b"".join(
-        serialize.payload_dumps(
-            sup.call("pull_state", framework=fw)["state"]
-        )
-        for sup in sups
-        for fw in sorted(sup.call("ping")["frameworks"])
-    )
-    wall = time.perf_counter() - start
-    write(os.path.join(root, "recovered.bin"), blob)
-    k = sum(
-        len(sup.call("admitted", framework=fw)["specs"])
-        for sup in sups
-        for fw in sorted(sup.call("ping")["frameworks"])
-    )
-    engine.close()
-    print(json.dumps({"k": k, "recovery_s": round(wall, 4)}))
 else:
     raise SystemExit(f"unknown child mode {mode!r}")
 """
@@ -245,8 +198,8 @@ def _run_child(
     return json.loads(last) if last.startswith("{") else {"out": last}
 
 
-def _local_site(site: str, root: str, scale: float, expect: str) -> dict:
-    """One local-WAL matrix entry: crash child, recover, byte-compare."""
+def _kill_site(site: str, root: str, scale: float, expect: str) -> dict:
+    """One matrix entry: crash child, recover, byte-compare."""
     plan, mode, committed = KILL_MATRIX[site]
     dur = os.path.join(root, f"dur-{site.replace('.', '-')}")
     if mode == "traffic":
@@ -288,31 +241,6 @@ def _local_site(site: str, root: str, scale: float, expect: str) -> dict:
     }
 
 
-def _remote_site(root: str, scale: float) -> dict:
-    """Parent SIGKILLed mid-heartbeat; workers' auto-exports survive."""
-    plan, _, _ = KILL_MATRIX["remote.heartbeat"]
-    expect = os.path.join(root, "expect-remote")
-    _run_child("remote-traffic", root, scale, expect,
-               plan=plan, expect_kill=True)
-    result = _run_child("remote-recover", root, scale)
-    k = result["k"]
-    assert k == len(WORKLOAD_IDS), (
-        f"remote.heartbeat: worker recovered {k} admissions, "
-        f"expected {len(WORKLOAD_IDS)}"
-    )
-    recovered = Path(root, "recovered.bin").read_bytes()
-    expected = Path(expect, f"{k}.bin").read_bytes()
-    assert recovered == expected, (
-        "remote.heartbeat: worker state diverges from pre-kill exports"
-    )
-    return {
-        "killed_at": plan.split(";", 1)[1],
-        "recovered_admissions": k,
-        "recovery_s": result["recovery_s"],
-        "byte_identical": True,
-    }
-
-
 def crash_matrix(scale: float) -> dict:
     """Kill -9 at every durability fault site; recovery must byte-match."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-dur-") as root:
@@ -325,11 +253,9 @@ def crash_matrix(scale: float) -> dict:
         _run_child("traffic", root, scale,
                    os.path.join(root, "dur-control"), expect, "batch", "0")
         sites = {
-            site: _local_site(site, root, scale, expect)
+            site: _kill_site(site, root, scale, expect)
             for site in KILL_MATRIX
-            if site != "remote.heartbeat"
         }
-        sites["remote.heartbeat"] = _remote_site(root, scale)
     return sites
 
 

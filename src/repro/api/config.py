@@ -87,47 +87,6 @@ class DurabilityConfig:
 
 
 @dataclass(frozen=True)
-class LivenessConfig:
-    """Remote-shard liveness: deadlines, heartbeats, circuit breaking.
-
-    ``op_deadline_s`` bounds every send+recv against a worker process (a
-    wedged worker surfaces as :class:`~repro.errors.RemoteShardError`
-    instead of blocking forever).  ``heartbeat_interval_s`` runs a
-    supervisor thread probing each worker's ``ping`` op.
-    ``breaker_threshold`` consecutive transport failures open a per-worker
-    circuit breaker: calls fast-fail for ``breaker_cooldown_s``, then one
-    half-open probe either closes the breaker or re-opens it - so a hung
-    worker degrades its shard to ``recovering`` (last-good snapshot
-    reads) instead of stalling every caller.
-    """
-
-    #: Per-operation send+recv deadline (None = wait forever).
-    op_deadline_s: float | None = 30.0
-    #: Period of the supervisor heartbeat probes (None = no heartbeats).
-    heartbeat_interval_s: float | None = None
-    #: Consecutive transport failures before the breaker opens
-    #: (None = breaker disabled).
-    breaker_threshold: int | None = 3
-    #: Seconds an open breaker fast-fails before a half-open probe.
-    breaker_cooldown_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.op_deadline_s is not None and self.op_deadline_s <= 0:
-            raise ConfigurationError("op_deadline_s must be positive")
-        if (
-            self.heartbeat_interval_s is not None
-            and self.heartbeat_interval_s <= 0
-        ):
-            raise ConfigurationError(
-                "heartbeat_interval_s must be positive"
-            )
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ConfigurationError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown_s <= 0:
-            raise ConfigurationError("breaker_cooldown_s must be positive")
-
-
-@dataclass(frozen=True)
 class DegradedModes:
     """What the engine is allowed to do when a component fails.
 
@@ -299,18 +258,13 @@ class EngineConfig:
     * **fault tolerance** - the worker ``retry`` policy
       (:class:`~repro.utils.retry.RetryPolicy`) and the
       :class:`DegradedModes` knobs;
-    * **federation** - ``remote_shards`` (run framework stores in that
-      many worker processes, consistent-hash routed by build
-      fingerprint; 0 = everything in-process) and ``snapshot_dir`` (root
-      for warm store snapshots: workers auto-export under
-      ``<dir>/workers/<name>`` and recover from there after a crash;
-      engine-level export/import defaults to ``<dir>/federation``);
-    * **durability / liveness** - ``durability``
-      (:class:`DurabilityConfig`: per-shard write-ahead log with
-      automatic crash recovery on ``open()`` and background
-      checkpointing) and ``liveness`` (:class:`LivenessConfig`:
-      per-operation deadlines, heartbeat probes, and a per-worker
-      circuit breaker for the remote-shard pool).
+    * **snapshots** - ``snapshot_dir`` (root for warm store snapshots:
+      engine-level export/import defaults to ``<dir>/federation``, and
+      durability defaults to ``<dir>/durability``);
+    * **durability** - ``durability`` (:class:`DurabilityConfig`:
+      per-shard write-ahead log with automatic crash recovery on
+      ``open()`` and background checkpointing - the one crash-recovery
+      path).
     """
 
     scale: float = DEFAULT_SCALE
@@ -326,10 +280,8 @@ class EngineConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     degraded_modes: DegradedModes = field(default_factory=DegradedModes)
     http: HttpConfig = field(default_factory=HttpConfig)
-    remote_shards: int = 0
     snapshot_dir: str | None = None
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    liveness: LivenessConfig = field(default_factory=LivenessConfig)
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -338,8 +290,6 @@ class EngineConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.batch_max < 1:
             raise ConfigurationError("batch_max must be >= 1")
-        if self.remote_shards < 0:
-            raise ConfigurationError("remote_shards must be >= 0")
         if (
             self.durability.enabled
             and self.durability.directory is None

@@ -18,7 +18,7 @@ engine is the one audited boundary in front of all of them:
   background sweeper).
 
 Every legacy entry point is now a thin adapter over this class; new
-capabilities (remote stores, async admission, multi-backend) plug in here.
+capabilities (async admission, multi-backend) plug in here.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class DebloatEngine:
         self._clock = clock
         self._federation: StoreFederation | None = None
         self._server: DebloatServer | None = None
-        self._remote_pool = None
         self._durability = None
         self._opened = False
         self._closed = False
@@ -98,28 +97,6 @@ class DebloatEngine:
         from repro.core.debloat import configure_fanout
 
         configure_fanout(self.config.degraded_modes.fanout_thread_fallback)
-        if self.config.remote_shards > 0:
-            import os
-
-            from repro.serving.remote import RemoteShardPool
-
-            snapshot_root = (
-                os.path.join(self.config.snapshot_dir, "workers")
-                if self.config.snapshot_dir is not None
-                else None
-            )
-            liveness = self.config.liveness
-            self._remote_pool = RemoteShardPool(
-                self.config.remote_shards,
-                scale=self.config.scale,
-                archs=tuple(self.config.archs),
-                use_cache=self.config.use_cache,
-                snapshot_root=snapshot_root,
-                op_deadline_s=liveness.op_deadline_s,
-                breaker_threshold=liveness.breaker_threshold,
-                breaker_cooldown_s=liveness.breaker_cooldown_s,
-                heartbeat_interval_s=liveness.heartbeat_interval_s,
-            )
         if self.config.durability.enabled:
             import os
 
@@ -139,7 +116,6 @@ class DebloatEngine:
             self.config,
             clock=self._clock,
             cache=self._cache,
-            remote_pool=self._remote_pool,
             durability=self._durability,
         )
         if self._durability is not None:
@@ -159,8 +135,6 @@ class DebloatEngine:
         self._closed = True
         if self._server is not None:
             self._server.close()
-        if self._remote_pool is not None:
-            self._remote_pool.shutdown()
         if self._durability is not None:
             # Stops the checkpointer and syncs every WAL: a clean close
             # leaves nothing in the batch-fsync window.
@@ -438,8 +412,6 @@ class DebloatEngine:
         out["quarantined_entries"] = self.cache.stats().get(
             "disk_quarantined", 0
         )
-        if self._remote_pool is not None:
-            out["remote"] = self._remote_pool.health()
         if self._durability is not None:
             out["durability"] = self._durability.health()
         return out

@@ -24,20 +24,13 @@ The federation exposes the same ``admit``/``admit_many``/``snapshot``/
 :class:`~repro.serving.server.DebloatServer` fronts either interchangeably
 (and batches spanning frameworks split per shard).
 
-With a :class:`~repro.serving.remote.RemoteShardPool` attached, catalog
-shards leave the process: each framework's build fingerprint is
-consistent-hashed onto a worker (:class:`~repro.serving.remote.HashRing`),
-and the shard's ``store`` becomes a
-:class:`~repro.serving.remote.RemoteStoreClient` - same duck-typed
-surface, so routing, eviction, recovery tracking, and the server stack
-are unchanged.  Hand-built (non-catalog) shards registered through
-:meth:`ensure_shard` have no fingerprint to route by and always stay
-local, which is how local and remote shards coexist in one federation.
+Every shard is an in-process :class:`~repro.serving.store.DebloatStore`.
 :meth:`export_snapshot` / :meth:`import_snapshot` move whole federations
 through the versioned on-disk image format
 (:mod:`repro.serving.snapshot`): a fresh replica imports every shard's
-committed epoch - local or remote - byte-identically, with zero workload
-runs.
+committed epoch byte-identically, with zero workload runs.  Crash
+recovery is the per-shard write-ahead log plus checkpoint snapshot
+(:mod:`repro.serving.wal`).
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from typing import Callable, Mapping
 
 from repro.api.config import EngineConfig
 from repro.core.debloat import MultiWorkloadReport
-from repro.errors import TransientError, UsageError
+from repro.errors import UsageError
 from repro.frameworks.catalog import (
     build_key_for,
     framework_build_fingerprint,
@@ -93,7 +86,7 @@ class ShardSnapshot:
     #: workload id -> last-served clock reading (federation clock units).
     last_served: Mapping[str, float]
     pinned: tuple[str, ...]
-    #: ``ok`` / ``recovering`` (a worker is retrying against this shard;
+    #: ``ok`` / ``recovering`` (a server worker is retrying against it;
     #: ``store`` may be the last-good epoch) / ``degraded`` (the last
     #: admission failed permanently).
     state: str = "ok"
@@ -124,18 +117,6 @@ class FederationSnapshot:
         return sum(len(s.store.workload_ids) for s in self.shards.values())
 
 
-#: The committed-nothing epoch a freshly routed remote shard reports
-#: until its first admission (or snapshot import) lands.
-_EMPTY_STORE_SNAPSHOT = StoreSnapshot(
-    generation=0,
-    workload_ids=(),
-    libraries=MappingProxyType({}),
-    union_kernels=0,
-    union_functions=0,
-    reductions=(),
-)
-
-
 class FederationShard:
     """One framework's store plus the federation's per-shard traffic state."""
 
@@ -148,8 +129,6 @@ class FederationShard:
     ) -> None:
         self.framework = framework
         self.name = framework.name
-        #: True when ``store`` is a RemoteStoreClient in a worker process.
-        self.remote = False
         # Fingerprint of the build this shard ACTUALLY serves: derived
         # from the instance's own catalog generation key, never from the
         # engine config (ensure_shard may host a build - e.g. a
@@ -185,36 +164,6 @@ class FederationShard:
         #: The last successfully committed epoch; served for reads while
         #: the shard is mid-recovery (``degraded_modes.serve_last_good_reads``).
         self.last_good: StoreSnapshot = self.store.snapshot()
-
-    @classmethod
-    def for_remote(
-        cls, name: str, fingerprint: str | None, client
-    ) -> "FederationShard":
-        """A shard fronting a worker-process store through ``client``.
-
-        Constructed without generating the framework in this process -
-        the fingerprint comes from the catalog's build key alone, and the
-        worker generates (or snapshot-imports) the actual build.
-        """
-        shard = cls.__new__(cls)
-        shard.framework = None
-        shard.name = name
-        shard.remote = True
-        shard.fingerprint = fingerprint
-        shard.store = client
-        shard.last_served = {}
-        shard.pinned = set()
-        shard.admit_cost_s = {}
-        shard.admit_bytes = {}
-        shard._union_after_seen = 0
-        shard.state = "ok"
-        shard.consecutive_failures = 0
-        shard.retries = 0
-        shard.last_error = None
-        # No remote round-trip at registration: the worker spawns lazily
-        # on the first admission, and note_success refreshes last_good.
-        shard.last_good = _EMPTY_STORE_SNAPSHOT
-        return shard
 
     def touch(self, workload_id: str, now: float, pinned: bool) -> None:
         self.last_served[workload_id] = now
@@ -273,7 +222,6 @@ class StoreFederation:
         config: EngineConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
         cache=None,
-        remote_pool=None,
         durability=None,
     ) -> None:
         self.config = config or EngineConfig()
@@ -282,11 +230,8 @@ class StoreFederation:
         #: Pipeline-cache override threaded into every shard's store
         #: (None = the process-wide cache, resolved dynamically).
         self._cache = cache
-        #: A :class:`~repro.serving.remote.RemoteShardPool`; when set,
-        #: catalog shards are consistent-hash routed onto its workers.
-        self._remote_pool = remote_pool
         #: A :class:`~repro.serving.wal.DurabilityController`; when set,
-        #: every locally created shard gets its write-ahead log attached
+        #: every created shard gets its write-ahead log attached
         #: so committed mutations are journaled from the first admission.
         self._durability = durability
         #: Guards shard creation and traffic bookkeeping; the expensive
@@ -296,11 +241,10 @@ class StoreFederation:
         self._shards: dict[str, FederationShard] = {}
         self._stat_sweeps = 0
         self._stat_evicted = 0
-        #: One content-addressed block store shared by every local shard:
+        #: One content-addressed block store shared by every shard:
         #: byte-identical chunks admitted into different framework shards
         #: collapse to a single refcounted physical copy, and the
         #: byte-budget eviction mode sweeps against its physical size.
-        #: (Remote shards' worker processes hold their own.)
         self.blockstore = BlockStore()
 
     # -- shards ---------------------------------------------------------------
@@ -329,35 +273,11 @@ class StoreFederation:
             return shard
 
     def shard(self, framework_name: str) -> FederationShard:
-        """The shard serving ``framework_name``, built from the catalog.
-
-        With a remote pool attached the shard's build fingerprint (a
-        pure catalog computation - nothing is generated here) routes it
-        onto a worker through the consistent-hash ring; without one the
-        framework is generated locally as before.
-        """
+        """The shard serving ``framework_name``, built from the catalog."""
         with self._lock:
             existing = self._shards.get(framework_name)
             if existing is not None:
                 return existing
-        if self._remote_pool is not None:
-            fingerprint = framework_build_fingerprint(
-                framework_name,
-                self.config.scale,
-                tuple(self.config.archs),
-            )
-            client = self._remote_pool.client_for(
-                framework_name, fingerprint
-            )
-            with self._lock:
-                existing = self._shards.get(framework_name)
-                if existing is not None:
-                    return existing
-                shard = FederationShard.for_remote(
-                    framework_name, fingerprint, client
-                )
-                self._shards[framework_name] = shard
-                return shard
         # Framework generation can be expensive; do it outside the lock.
         framework = get_framework(
             framework_name,
@@ -379,10 +299,10 @@ class StoreFederation:
                 self._durability.attach(shard)
             return shard
 
-    def local_shards(self) -> list[FederationShard]:
-        """Every registered in-process shard (checkpointing walks these)."""
+    def shards(self) -> list[FederationShard]:
+        """Every registered shard (checkpointing walks these)."""
         with self._lock:
-            return [s for s in self._shards.values() if not s.remote]
+            return list(self._shards.values())
 
     def warm_shard(self, framework_name: str) -> int:
         """Refresh traffic/recovery bookkeeping after an out-of-band install.
@@ -403,27 +323,6 @@ class StoreFederation:
             shard.consecutive_failures = 0
             shard.last_good = snap
             return snap.generation
-
-    def route_for(self, framework_name: str) -> str:
-        """Where ``framework_name`` is (or would be) hosted.
-
-        ``"local"`` without a remote pool (and for already-registered
-        local shards); otherwise the pool worker its build fingerprint
-        hashes onto.  Pure computation - nothing is spawned or built.
-        """
-        with self._lock:
-            existing = self._shards.get(framework_name)
-            if existing is not None and not existing.remote:
-                return "local"
-        if self._remote_pool is None:
-            return "local"
-        return self._remote_pool.node_for(
-            framework_build_fingerprint(
-                framework_name,
-                self.config.scale,
-                tuple(self.config.archs),
-            )
-        )
 
     def frameworks(self) -> tuple[str, ...]:
         with self._lock:
@@ -611,8 +510,7 @@ class StoreFederation:
         (:class:`~repro.storage.evictor.CostAwareEvictor`), evicts it, and
         re-reads the physical size: shared blocks mean an eviction can
         free fewer bytes than estimated, so the loop measures instead of
-        trusting the plan.  Remote shards are skipped (their bytes live in
-        worker processes, not this block store).
+        trusting the plan.
         """
         evictor = CostAwareEvictor(self.policy.budget_bytes)
         with self._lock:
@@ -625,8 +523,6 @@ class StoreFederation:
             with self._lock:
                 candidates = []
                 for shard in self._shards.values():
-                    if shard.remote:
-                        continue
                     protected = shard.pinned | set(self.policy.pinned)
                     for wid, served in shard.last_served.items():
                         if wid in protected:
@@ -738,43 +634,19 @@ class StoreFederation:
             )
 
     def health(self) -> dict:
-        """Per-shard recovery state, retry/rollback counters, last errors.
-
-        Health must never raise and never block on a dead worker: a remote
-        shard whose worker cannot answer reports its last-good epoch (and
-        the error) instead of propagating the transport failure.
-        """
+        """Per-shard recovery state, retry/rollback counters, last errors."""
         with self._lock:
             shards = dict(self._shards)
         rows = {}
         for name, shard in shards.items():
-            try:
-                snap = shard.store.snapshot()
-                rollbacks = shard.store.stats().get("rollbacks", 0)
-            except (TransientError, OSError) as exc:
-                snap = shard.last_good
-                rollbacks = 0
-                rows[name] = {
-                    "state": "recovering",
-                    "route": (
-                        shard.store.worker if shard.remote else "local"
-                    ),
-                    "generation": snap.generation,
-                    "workloads": len(snap.workload_ids),
-                    "consecutive_failures": shard.consecutive_failures,
-                    "retries": shard.retries,
-                    "rollbacks": rollbacks,
-                    "last_error": f"{type(exc).__name__}: {exc}",
-                }
-                continue
+            snap = shard.store.snapshot()
             rows[name] = {
                 "state": shard.state,
-                "route": shard.store.worker if shard.remote else "local",
                 "generation": snap.generation,
                 "workloads": len(snap.workload_ids),
                 "consecutive_failures": shard.consecutive_failures,
                 "retries": shard.retries,
-                "rollbacks": rollbacks,
+                "rollbacks": shard.store.stats().get("rollbacks", 0),
                 "last_error": shard.last_error,
             }
         states = {row["state"] for row in rows.values()}
@@ -802,11 +674,10 @@ class StoreFederation:
     def export_snapshot(self, directory: str) -> dict:
         """Write every shard's committed store image under ``directory``.
 
-        Local and remote shards export uniformly: each store serialises
-        its full committed epoch (usage unions, per-library decisions,
-        kernel-usage indexes, debloated extents) and
-        :func:`~repro.serving.snapshot.write_snapshot` lays them down
-        crash-safely with a manifest.  Returns the manifest.
+        Each shard's store serialises its full committed epoch (usage
+        unions, per-library decisions, kernel-usage indexes, debloated
+        extents) and :func:`~repro.serving.snapshot.write_snapshot` lays
+        them down crash-safely with a manifest.  Returns the manifest.
         """
         with self._lock:
             shards = dict(self._shards)
@@ -819,10 +690,10 @@ class StoreFederation:
     def import_snapshot(self, directory: str) -> dict[str, int]:
         """Warm every shard from the snapshot at ``directory``.
 
-        Creates (or routes, with a remote pool) a shard per imaged
-        framework and installs its store image verbatim - **zero**
-        workload runs.  Imported workloads enter the eviction clock as
-        freshly served.  Returns ``{framework: generation}``.
+        Creates a shard per imaged framework and installs its store image
+        verbatim - **zero** workload runs.  Imported workloads enter the
+        eviction clock as freshly served.  Returns
+        ``{framework: generation}``.
         """
         payloads = snapshots.load_snapshot(directory)
         generations: dict[str, int] = {}

@@ -376,17 +376,12 @@ def value_loads(data: bytes, kind: str) -> Any:
     return payload["value"]
 
 
-#: Public aliases: the cached-value tier persists bare RunMetrics too, the
-#: process-sharded locate/compact fan-out ships LocateResults, and the
-#: store-image / remote-shard payloads reuse the per-object pieces.
+#: Public aliases: the cached-value tier persists bare RunMetrics too, and
+#: the process-sharded locate/compact fan-out ships LocateResults.
 metrics_to_payload = _metrics_to_payload
 metrics_from_payload = _metrics_from_payload
 locate_to_payload = _locate_to_payload
 locate_from_payload = _locate_from_payload
-library_to_payload = _library_to_payload
-library_from_payload = _library_from_payload
-verification_to_payload = _verification_to_payload
-verification_from_payload = _verification_from_payload
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +431,7 @@ def spec_from_payload(p: dict[str, Any]):
 
 
 def multi_report_to_payload(report) -> dict[str, Any]:
-    """Wire form of a :class:`~repro.core.debloat.MultiWorkloadReport`."""
+    """Payload form of a :class:`~repro.core.debloat.MultiWorkloadReport`."""
     return {
         "workload_ids": list(report.workload_ids),
         "libraries": [_library_to_payload(lib) for lib in report.libraries],
@@ -447,19 +442,6 @@ def multi_report_to_payload(report) -> dict[str, Any]:
             int(n) for n in report.marginal_new_kernels
         ],
     }
-
-
-def multi_report_from_payload(p: dict[str, Any]):
-    from repro.core.debloat import MultiWorkloadReport
-
-    return MultiWorkloadReport(
-        workload_ids=list(p["workload_ids"]),
-        libraries=[_library_from_payload(lib) for lib in p["libraries"]],
-        verifications=[
-            _verification_from_payload(v) for v in p["verifications"]
-        ],
-        marginal_new_kernels=[int(n) for n in p["marginal_new_kernels"]],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +554,8 @@ def debloated_from_payload(p: dict[str, Any], original):
 
 #: Payload kind of a full :class:`~repro.serving.store.DebloatStore` image
 #: (usage unions, per-library decisions, kernel-usage indexes, debloated
-#: library extents + bytes) - what snapshot export/import and the remote
-#: shard push/pull protocol ship.
+#: library extents + bytes) - what snapshot export/import, WAL
+#: checkpoints and replicas ship.
 STORE_KIND = "debloat_store_image"
 
 

@@ -179,23 +179,6 @@ class FaultError(TransientError):
         self.kind = kind
 
 
-class RemoteShardError(TransientError):
-    """A remote shard process died or its connection dropped mid-call.
-
-    Raised by :class:`~repro.serving.remote.RemoteShardProcess` whenever
-    the length-prefixed transport fails - the worker was SIGKILLed, its
-    pipe closed, a frame was truncated, or an injected ``remote.send`` /
-    ``remote.recv`` fault fired.  Subclasses :class:`TransientError`
-    because the supervisor restarts the worker (re-importing its last
-    exported snapshot), so the retry policy re-drives the call instead of
-    surfacing a raw ``OSError`` to the caller.
-    """
-
-    def __init__(self, shard: str, message: str):
-        super().__init__(f"remote shard {shard!r}: {message}")
-        self.shard = shard
-
-
 class AdmissionError(ReproError):
     """An admission failed permanently after exhausting its retry budget.
 

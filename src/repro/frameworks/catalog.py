@@ -660,7 +660,8 @@ def build_key_for(
     back into :func:`get_framework` to regenerate byte-identical libraries,
     or ``None`` for instances that did not come out of the catalog memo
     (hand-built specs, orphans of :func:`clear_framework_cache`) - those
-    cannot be re-derived remotely and callers must stay in-process.
+    cannot be re-derived in another process and callers must stay
+    in-process.
     """
     for key, cached in _FRAMEWORK_CACHE.items():
         if cached is framework:

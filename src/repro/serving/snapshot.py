@@ -1,9 +1,10 @@
 """Versioned on-disk snapshots: a federation's store images in a directory.
 
-Snapshot export is how a replica (or a crashed remote shard) comes up warm
-with **zero** workload runs: every shard's committed epoch is written as
-one RDBC container (:data:`~repro.core.serialize.STORE_KIND`, CRC-checked
-by the container itself) next to a ``MANIFEST.json`` that records the
+Snapshot export is how a replica (or an engine recovering from its WAL
+checkpoint) comes up warm with **zero** workload runs: every shard's
+committed epoch is written as one RDBC container
+(:data:`~repro.core.serialize.STORE_KIND`, CRC-checked by the container
+itself) next to a ``MANIFEST.json`` that records the
 snapshot schema, each shard's framework/fingerprint/generation, and a
 process-stable digest of each container's bytes.  Import verifies the
 digest before decoding, so a torn or tampered file surfaces as

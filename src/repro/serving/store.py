@@ -1051,12 +1051,7 @@ class DebloatStore:
         return dict(self._snapshot.libraries)
 
     def admitted_specs(self) -> tuple[WorkloadSpec, ...]:
-        """The admission ledger in admission order (duplicates included).
-
-        The remote-shard supervisor diffs this against its parent-side
-        replay ledger after a crash restart, to re-admit exactly the
-        committed-but-unexported tail.
-        """
+        """The admission ledger in admission order (duplicates included)."""
         with self._admission_lock:
             return tuple(self._admitted)
 

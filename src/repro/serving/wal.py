@@ -44,6 +44,9 @@ last, atomically, recording each shard's ``wal_seq`` watermark), **then**
 drop records ``<= watermark``.  A kill between the two steps is harmless -
 recovery loads the new snapshot and skips replayed-over records by
 watermark, so the only cost is extra replay, never divergence.
+
+WAL plus checkpoint snapshot is the engine's one crash-recovery path:
+every federation shard is an in-process store journaled here.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ WAL_KIND = "wal_record"
 #: Filename suffix of live per-framework logs.
 WAL_SUFFIX = ".wal"
 
-#: Upper bound on one record's container size (mirrors the remote-shard
-#: frame cap); a larger length prefix marks the tail invalid.
+#: Upper bound on one record's container size; a larger length prefix
+#: marks the tail invalid.
 MAX_RECORD_BYTES = 1 << 30
 
 #: Supported fsync policies, strictest first.
@@ -415,14 +418,11 @@ class DurabilityController:
             return wal
 
     def attach(self, shard) -> None:
-        """Journal a (local) federation shard's mutations from now on.
+        """Journal a federation shard's mutations from now on.
 
-        A no-op for remote shards (workers recover through their own
-        snapshots) and while recovery is still replaying (replayed
-        records must not be re-appended).
+        A no-op while recovery is still replaying (replayed records must
+        not be re-appended).
         """
-        if getattr(shard, "remote", False):
-            return
         with self._lock:
             if not self._ready:
                 return
@@ -445,8 +445,7 @@ class DurabilityController:
         import the snapshot payload (if any), then replay WAL records
         past the snapshot's ``wal_seq`` watermark in order.  A corrupt
         snapshot shard degrades to a cold full-WAL replay instead of
-        failing the open.  Remote shards recover through their own
-        worker snapshots and are skipped here.  Returns a report dict
+        failing the open.  Returns a report dict
         (also kept as :attr:`recovery_report`).
         """
         report: dict[str, Any] = {
@@ -475,9 +474,6 @@ class DurabilityController:
         )
         for name in frameworks:
             shard = federation.shard(name)
-            if getattr(shard, "remote", False):
-                report["frameworks"][name] = {"skipped": "remote shard"}
-                continue
             wal = self.wal_for(name)
             watermark = 0
             loaded = False
@@ -599,7 +595,7 @@ class DurabilityController:
                 raise WalError("durability controller is closed")
             shards = [
                 shard
-                for shard in federation.local_shards()
+                for shard in federation.shards()
                 if shard.store.wal is not None
             ]
             if not shards:

@@ -24,12 +24,6 @@ Sites instrumented today:
                            entry: quarantined + recomputed)
 ``diskcache.write``        disk-tier entry persist (an ``OSError``)
 ``sweeper.tick``           the background sweeper's periodic sweep
-``remote.send``            parent side, before writing a request frame to a
-                           remote shard worker (a dropped connection)
-``remote.recv``            parent side, before reading the worker's response
-                           frame (worker died mid-request)
-``shard.spawn``            remote shard supervisor, before forking a worker
-                           process (spawn failure / restart storm)
 ``snapshot.read``          snapshot manifest/shard-image read (a torn or
                            corrupt on-disk snapshot)
 ``wal.append``             write-ahead log, before the record frame is
@@ -41,8 +35,6 @@ Sites instrumented today:
 ``checkpoint.truncate``    durability checkpoint, after the snapshot export
                            but before the WAL truncation (the crash window
                            the watermark exists for)
-``remote.heartbeat``       supervisor liveness probe, before pinging the
-                           worker
 =========================  ====================================================
 
 Plans are **opt-in**: nothing fires unless a plan is activated, either
@@ -275,20 +267,16 @@ CI_STANDARD_SEED = 20250808
 #: must succeed after retry, and the end-state store must be
 #: byte-identical to a fault-free run of the same arrivals.
 #:
-#: The remote-federation rules (``remote.*`` / ``shard.spawn`` /
-#: ``snapshot.read``) only fire when those sites exist - i.e. under
-#: ``remote_shards > 0`` or an explicit snapshot import - so the plan
-#: stays byte-compatible for in-process runs: a dropped request frame, a
-#: dropped response frame, one failed worker spawn (the supervisor's next
-#: call retries it), and one corrupt snapshot read.
+#: The ``snapshot.read`` rule only fires on an explicit snapshot import
+#: (one corrupt snapshot read), so the plan stays byte-compatible for
+#: runs that never import.
 #:
-#: The durability rules (``wal.*`` / ``checkpoint.truncate`` /
-#: ``remote.heartbeat``) likewise only fire with durability or heartbeats
-#: enabled, and every one is absorbed where it fires: a failed WAL append
-#: or fsync is counted (``wal_failures``) without undoing the committed
-#: admission, a truncate fault leaves the checkpoint snapshot in place
-#: (the watermark makes the extra replay a no-op), and a heartbeat fault
-#: is one failed probe.  ``wal.replay`` is deliberately *not* in this
+#: The durability rules (``wal.*`` / ``checkpoint.truncate``) likewise
+#: only fire with durability enabled, and every one is absorbed where it
+#: fires: a failed WAL append or fsync is counted (``wal_failures``)
+#: without undoing the committed admission, and a truncate fault leaves
+#: the checkpoint snapshot in place (the watermark makes the extra replay
+#: a no-op).  ``wal.replay`` is deliberately *not* in this
 #: plan: a replay fault aborts recovery rather than being tolerated, so
 #: it belongs to the explicit crash matrix, not the steady-state plan.
 CI_STANDARD_PLAN = (
@@ -298,14 +286,10 @@ CI_STANDARD_PLAN = (
     FaultRule("locate.shard", ordinals=(1,), kind="broken_pool"),
     FaultRule("diskcache.read", ordinals=(1,), kind="corrupt"),
     FaultRule("sweeper.tick", ordinals=(1,)),
-    FaultRule("remote.send", ordinals=(2,)),
-    FaultRule("remote.recv", ordinals=(4,)),
-    FaultRule("shard.spawn", ordinals=(2,)),
     FaultRule("snapshot.read", ordinals=(3,), kind="corrupt"),
     FaultRule("wal.append", ordinals=(3,)),
     FaultRule("wal.fsync", ordinals=(2,), kind="oserror"),
     FaultRule("checkpoint.truncate", ordinals=(1,)),
-    FaultRule("remote.heartbeat", ordinals=(2,)),
 )
 
 _NAMED_PLANS: dict[str, tuple[tuple[FaultRule, ...], int]] = {

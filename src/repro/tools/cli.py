@@ -10,8 +10,7 @@ Subcommands:
   several frameworks) through a worker pool into per-framework
   :class:`~repro.serving.store.DebloatStore` shards, delta-compacting only
   the libraries each admission actually grew, with optional traffic-driven
-  TTL/LRU/pinned eviction; ``--remote-shards N`` moves the stores into N
-  worker processes routed by build fingerprint;
+  TTL/LRU/pinned eviction and optional WAL durability (``--durable``);
 * ``snapshot export|import`` - write a federation's warm store images to
   a directory / bring a fresh process up warm from one, with zero
   workload runs;
@@ -165,15 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "('ci-standard[:seed]') or a spec like "
                          "'seed=7;store.merge@2;diskcache.read%%0.05:corrupt' "
                          "(default: $REPRO_FAULT_PLAN if set)")
-    p_serve.add_argument("--remote-shards", type=int, default=0, metavar="N",
-                         help="run the framework stores in N worker "
-                         "processes, consistent-hash routed by build "
-                         "fingerprint (0 = everything in-process)")
     p_serve.add_argument("--snapshot-dir", default=None, metavar="DIR",
-                         help="root for warm store snapshots: remote "
-                         "workers auto-export and crash-recover under "
-                         "DIR/workers; POST /v1/snapshot/export defaults "
-                         "to DIR/federation")
+                         help="root for warm store snapshots: POST "
+                         "/v1/snapshot/export defaults to DIR/federation "
+                         "and --durable to DIR/durability")
     p_serve.add_argument("--durable", action="store_true",
                          help="crash-consistent durability: journal every "
                          "admission/eviction to a per-shard write-ahead "
@@ -193,20 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="export a store snapshot and truncate the "
                          "WAL every SECONDS in the background (default: "
                          "checkpoint only on demand)")
-    p_serve.add_argument("--op-deadline-s", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="per-operation send/receive deadline for "
-                         "remote shard workers; a hung worker raises "
-                         "instead of blocking forever (default: 30)")
-    p_serve.add_argument("--heartbeat-interval", type=float, default=None,
-                         metavar="SECONDS",
-                         help="probe every remote shard worker with a "
-                         "liveness ping every SECONDS (default: off)")
-    p_serve.add_argument("--breaker-threshold", type=int, default=3,
-                         metavar="N",
-                         help="open a remote shard's circuit breaker "
-                         "after N consecutive transport failures "
-                         "(default: 3; 0 disables the breaker)")
 
     p_snapshot = sub.add_parser(
         "snapshot",
@@ -352,7 +332,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             batch_max=args.batch_max,
             eviction=policy,
             retry=retry,
-            remote_shards=args.remote_shards,
             snapshot_dir=args.snapshot_dir,
         )
         if args.durable or args.durability_dir:
@@ -364,13 +343,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 fsync=args.wal_fsync,
                 checkpoint_interval_s=args.checkpoint_interval,
             )
-        from repro.api.config import LivenessConfig
-
-        serving["liveness"] = LivenessConfig(
-            op_deadline_s=args.op_deadline_s or None,
-            heartbeat_interval_s=args.heartbeat_interval,
-            breaker_threshold=args.breaker_threshold or None,
-        )
         if args.http is not None:
             from repro.api import HttpConfig
             from repro.serving.http import parse_http_address

@@ -381,7 +381,7 @@ class TestCrashRecoveryRebuildsRefcounts:
             for key in ("blocks_total", "bytes_physical", "bytes_logical"):
                 assert stats[key] == committed_stats[key]
             recovered.validate_invariants()
-            for shard in engine.federation.local_shards():
+            for shard in engine.federation.shards():
                 shard.store.validate_invariants()
 
 

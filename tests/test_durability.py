@@ -1,11 +1,9 @@
-"""Engine-level durability and remote-shard liveness tests.
+"""Engine-level durability tests.
 
 Recovery's contract is byte-identity: after ``close()`` (or a crash) and
 a fresh ``open()``, the recovered store's ``export_state()`` bytes equal
 the committed pre-crash state, with **zero** workload runs - replay goes
 through the warm pipeline cache exactly like the snapshot import path.
-The liveness half covers the per-op deadline, the supervisor circuit
-breaker, and heartbeat probes.
 """
 
 from __future__ import annotations
@@ -16,15 +14,10 @@ from contextlib import contextmanager
 import pytest
 
 from repro.api import AdmitRequest, DebloatEngine, EngineConfig, EvictRequest
-from repro.api.config import DurabilityConfig, LivenessConfig
+from repro.api.config import DurabilityConfig
 from repro.core import serialize
 from repro.core.debloat import DebloatOptions
-from repro.errors import (
-    ConfigurationError,
-    RemoteShardError,
-    UsageError,
-)
-from repro.serving.remote import RemoteShardSupervisor
+from repro.errors import ConfigurationError, UsageError
 from repro.testing import faults
 from repro.workloads import runner as runner_mod
 
@@ -57,7 +50,7 @@ def export_bytes(engine: DebloatEngine) -> dict[str, bytes]:
         shard.store.framework.name: serialize.payload_dumps(
             shard.store.export_state()
         )
-        for shard in engine.federation.local_shards()
+        for shard in engine.federation.shards()
     }
 
 
@@ -254,203 +247,3 @@ class TestDurabilityConfig:
     def test_bad_fsync_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="fsync"):
             DurabilityConfig(fsync="sometimes")
-
-    def test_bad_liveness_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LivenessConfig(op_deadline_s=0)
-        with pytest.raises(ConfigurationError):
-            LivenessConfig(breaker_threshold=0)
-        with pytest.raises(ConfigurationError):
-            LivenessConfig(heartbeat_interval_s=-1)
-
-
-# -- remote-shard liveness ----------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class _DeadProc:
-    """Stands in for a worker whose transport is poisoned."""
-
-    alive = False
-    broken = True
-
-    def call(self, op, _deadline_s=None, **args):
-        raise RemoteShardError("shard-0", "injected transport failure")
-
-
-class TestCircuitBreaker:
-    def _supervisor(self, clock) -> RemoteShardSupervisor:
-        sup = RemoteShardSupervisor(
-            "shard-0",
-            {"scale": TEST_SCALE, "archs": []},
-            breaker_threshold=2,
-            breaker_cooldown_s=5.0,
-            clock=clock,
-        )
-        sup._proc = _DeadProc()  # pre-poisoned; process() would respawn
-        sup.process = lambda: sup._proc  # keep the dead proc in place
-        return sup
-
-    def test_opens_after_threshold_and_fast_fails(self):
-        clock = FakeClock()
-        sup = self._supervisor(clock)
-        for _ in range(2):
-            with pytest.raises(RemoteShardError, match="transport"):
-                sup.call("ping")
-        assert sup.breaker_state == "open"
-        assert sup.breaker_trips == 1
-        # Fast-fail: the dead proc is never consulted again.
-        with pytest.raises(RemoteShardError, match="breaker open"):
-            sup.call("ping")
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = FakeClock()
-        sup = self._supervisor(clock)
-        for _ in range(2):
-            with pytest.raises(RemoteShardError):
-                sup.call("ping")
-        clock.now = 6.0  # cooldown served -> next call probes
-        with pytest.raises(RemoteShardError, match="transport"):
-            sup.call("ping")
-        assert sup.breaker_state == "open"
-        assert sup.breaker_trips == 2
-
-    def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        sup = self._supervisor(clock)
-        for _ in range(2):
-            with pytest.raises(RemoteShardError):
-                sup.call("ping")
-        clock.now = 6.0
-
-        class _GoodProc:
-            alive = True
-            broken = False
-
-            def call(self, op, _deadline_s=None, **args):
-                return {"pid": 123}
-
-        sup._proc = _GoodProc()
-        assert sup.call("ping") == {"pid": 123}
-        assert sup.breaker_state == "closed"
-
-    def test_worker_side_errors_do_not_trip_breaker(self):
-        clock = FakeClock()
-        sup = self._supervisor(clock)
-
-        class _HealthyButFailing:
-            alive = True
-            broken = False
-
-            def call(self, op, _deadline_s=None, **args):
-                raise RemoteShardError("shard-0", "worker-side transient")
-
-        sup._proc = _HealthyButFailing()
-        for _ in range(5):
-            with pytest.raises(RemoteShardError):
-                sup.call("ping")
-        assert sup.breaker_state == "closed"
-        assert sup.breaker_trips == 0
-
-
-class TestHeartbeat:
-    def test_idle_slot_never_spawns(self):
-        sup = RemoteShardSupervisor(
-            "shard-0", {"scale": TEST_SCALE, "archs": []}
-        )
-        assert sup.heartbeat() == {"state": "idle", "ok": True}
-        assert sup._proc is None
-
-    def test_failed_probe_counts_and_feeds_breaker(self):
-        clock = FakeClock()
-        sup = RemoteShardSupervisor(
-            "shard-0",
-            {"scale": TEST_SCALE, "archs": []},
-            breaker_threshold=1,
-            clock=clock,
-        )
-        sup._proc = _DeadProc()
-        report = sup.heartbeat()
-        assert report["state"] == "failed"
-        assert sup.heartbeat_failures == 1
-        assert sup.breaker_state == "open"
-
-    def test_fault_site_remote_heartbeat(self):
-        sup = RemoteShardSupervisor(
-            "shard-0", {"scale": TEST_SCALE, "archs": []}
-        )
-
-        class _GoodProc:
-            alive = True
-            broken = False
-
-            def call(self, op, _deadline_s=None, **args):
-                return {"pid": 99}
-
-        sup._proc = _GoodProc()
-        plan = faults.FaultPlan(
-            (faults.FaultRule("remote.heartbeat", ordinals=(1,)),), seed=7
-        )
-        with faults.fault_plan(plan):
-            assert sup.heartbeat()["state"] == "failed"
-            assert sup.heartbeat()["state"] == "ok"
-        assert sup.heartbeats == 1
-        assert sup.heartbeat_failures == 1
-
-
-class TestRemoteLiveness:
-    """End-to-end against real worker subprocesses (spawned lazily)."""
-
-    def test_deadline_on_hung_worker(self, tmp_path):
-        cfg = EngineConfig(
-            scale=TEST_SCALE,
-            options=OPTS,
-            remote_shards=1,
-            liveness=LivenessConfig(
-                op_deadline_s=1.0, breaker_threshold=None
-            ),
-        )
-        with DebloatEngine(cfg) as engine:
-            engine.admit(AdmitRequest(workload_id=PT_IDS[0]))
-            pool = engine._remote_pool
-            sup = next(iter(pool.supervisors.values()))
-            pid = sup.pid
-            assert pid is not None
-            import os as _os
-
-            _os.kill(pid, 19)  # SIGSTOP: hung, not dead
-            try:
-                with pytest.raises(RemoteShardError, match="deadline"):
-                    sup.call("admitted", framework="pytorch")
-            finally:
-                _os.kill(pid, 18)  # SIGCONT before teardown
-
-    def test_pool_heartbeat_thread_probes_workers(self, tmp_path):
-        cfg = EngineConfig(
-            scale=TEST_SCALE,
-            options=OPTS,
-            remote_shards=1,
-            liveness=LivenessConfig(
-                op_deadline_s=30.0, heartbeat_interval_s=0.05
-            ),
-        )
-        with DebloatEngine(cfg) as engine:
-            engine.admit(AdmitRequest(workload_id=PT_IDS[0]))
-            sup = next(iter(engine._remote_pool.supervisors.values()))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if sup.heartbeats >= 2:
-                    break
-                time.sleep(0.01)
-            assert sup.heartbeats >= 2
-            health = engine.health()
-            row = next(iter(health["remote"]["shards"].values()))
-            assert row["breaker"] == "closed"
-            assert row["heartbeats"] >= 2
