@@ -61,11 +61,20 @@ def _specs():
 def warm_vs_cold(scale: float) -> dict:
     """Time cold rebuild vs snapshot import; assert byte-identity."""
     import repro.workloads.runner as runner
+    from repro.experiments.common import PIPELINE_CACHE
+    from repro.frameworks.catalog import clear_framework_cache
+    from repro.frameworks.genlib import clear_library_cache
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-fed-") as root:
         # Cold rebuild: empty pipeline cache, every admission runs the
-        # full pipeline.
+        # full pipeline.  The in-memory state is dropped too - the
+        # pipeline cache's memory tier and the framework and library
+        # memos, whose libraries carry their kernel indexes - so the leg
+        # is as cold as in a fresh process, whatever ran earlier in it.
         os.environ["REPRO_PIPELINE_CACHE_DIR"] = os.path.join(root, "cold")
+        PIPELINE_CACHE.invalidate()
+        clear_framework_cache()
+        clear_library_cache()
         source = _federation(scale)
         start = time.perf_counter()
         for spec in _specs():

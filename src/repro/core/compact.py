@@ -8,6 +8,14 @@ instead of parsing zeroed cubins.  File offsets of retained code never
 move - the "map file offsets to original memory addresses" property the
 paper inherits from Negativa - while the *on-disk* size drops by the
 removed bytes (holes), which is the file-size reduction the tables report.
+
+Because compaction never touches a structural byte, the debloated library
+reuses the original's parsed structure (:meth:`SharedLibrary.with_data`):
+its section list and symbol table are the original's objects, and only the
+fatbin is parsed again, lazily, from the compacted bytes.  The compactor
+still validates every result.  :func:`reparse_oracle` builds the same
+library the slow way, by re-parsing the compacted bytes, and tests hold the
+two equal.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from repro.fatbin import constants as FC
 from repro.core.cpu import FunctionLocateResult
 from repro.core.locate import LocateResult
 from repro.utils.intervals import RangeSet
+from repro.utils.sparsefile import SparseFile
 
 #: Byte offset of the ``flags`` field inside an element header
 #: (kind/version/header_size/sm_arch: 4 x u16; payload/padded: 2 x u64;
@@ -153,19 +162,16 @@ class Compactor:
             processed = removed_cpu.total() + removed_gpu.total()
             clock.advance(processed / self.costs.compact_bandwidth)
 
-        new_lib = parse_shared_library(data, lib.soname, lib.proprietary)
-        new_lib.tags.update(lib.tags)
-        new_lib.tags["debloated_from"] = lib.soname
-        new_lib.tags["removed_bytes_total"] = (
-            removed_cpu.total() + removed_gpu.total()
-        )
+        mask = None
         if cpu is not None:
             mask = np.ones(len(lib.symtab), dtype=bool)
             if cpu.used_indices.size:
                 mask[cpu.used_indices] = False
             # Non-function symbols (if any) are never removed.
             mask &= lib.symtab.function_mask()
-            new_lib.tags["removed_function_mask"] = mask
+        new_lib = derive_debloated(
+            lib, data, removed_cpu.total() + removed_gpu.total(), mask
+        )
 
         if validate:
             findings = validate_shared_library(new_lib)
@@ -184,6 +190,55 @@ class Compactor:
             removed_elements=removed_elements,
             removed_functions=removed_functions,
         )
+
+
+def derive_debloated(
+    original: SharedLibrary,
+    data: SparseFile,
+    removed_bytes_total: int,
+    removed_function_mask: np.ndarray | None = None,
+) -> SharedLibrary:
+    """The debloated library over compacted ``data``.
+
+    ``data`` must keep every structural byte of ``original`` (what
+    :meth:`Compactor.compact` guarantees), so the result shares the
+    original's parsed sections and symbol table instead of re-parsing.
+    """
+    lib = original.with_data(data)
+    _record_removal(lib, original, removed_bytes_total, removed_function_mask)
+    return lib
+
+
+def reparse_oracle(debloated: DebloatedLibrary) -> SharedLibrary:
+    """Test oracle: ``debloated.lib`` rebuilt by fully re-parsing its bytes.
+
+    The result must equal ``debloated.lib`` in sections, symbols, fatbin
+    headers, validation findings and bytes - the proof that sharing the
+    original's structure is sound.
+    """
+    lib = parse_shared_library(
+        debloated.lib.data.copy(), debloated.soname, debloated.lib.proprietary
+    )
+    _record_removal(
+        lib,
+        debloated.original,
+        debloated.removed_bytes_total,
+        debloated.lib.tags.get("removed_function_mask"),
+    )
+    return lib
+
+
+def _record_removal(
+    lib: SharedLibrary,
+    original: SharedLibrary,
+    removed_bytes_total: int,
+    removed_function_mask: np.ndarray | None,
+) -> None:
+    lib.tags.update(original.tags)
+    lib.tags["debloated_from"] = original.soname
+    lib.tags["removed_bytes_total"] = removed_bytes_total
+    if removed_function_mask is not None:
+        lib.tags["removed_function_mask"] = removed_function_mask
 
 
 def exact_kernel_removal(

@@ -519,25 +519,41 @@ def debloated_from_payload(p: dict[str, Any], original):
     """Rebuild a :class:`DebloatedLibrary` against the caller's original.
 
     Reproduces exactly what :meth:`~repro.core.compact.Compactor.compact`
-    constructs: a freshly parsed library over the compacted bytes, tags
-    inherited from the original plus the removal record.
+    constructs: the original's parsed structure over the compacted bytes,
+    tags inherited from the original plus the removal record.  Raises
+    :class:`CacheDecodeError` unless the compacted bytes keep every range
+    the ELF parser reads (:func:`~repro.elf.parser.parsed_ranges`)
+    byte-equal to the original's, since the structure is shared, not
+    re-parsed.
     """
-    from repro.core.compact import DebloatedLibrary
-    from repro.elf.parser import parse_shared_library
+    from repro.core.compact import DebloatedLibrary, derive_debloated
+    from repro.elf.parser import parsed_ranges
 
     soname = p["soname"]
     if soname != original.soname:
         raise CacheDecodeError(
             f"shard result for {soname!r} paired with {original.soname!r}"
         )
-    lib = parse_shared_library(
-        sparsefile_from_payload(p["data"]), soname, bool(p["proprietary"])
+    if bool(p["proprietary"]) != original.proprietary:
+        raise CacheDecodeError(f"{soname}: proprietary flag differs")
+    data = sparsefile_from_payload(p["data"])
+    if data.logical_size != original.file_size:
+        raise CacheDecodeError(
+            f"{soname}: compacted size {data.logical_size} != original "
+            f"{original.file_size}"
+        )
+    for r in parsed_ranges(original):
+        if data.read(r.start, len(r)) != original.data.read(r.start, len(r)):
+            raise CacheDecodeError(
+                f"{soname}: ELF structure bytes [{r.start}, {r.stop}) differ "
+                f"from the original's"
+            )
+    lib = derive_debloated(
+        original,
+        data,
+        int(p["removed_bytes_total"]),
+        p["removed_function_mask"],
     )
-    lib.tags.update(original.tags)
-    lib.tags["debloated_from"] = soname
-    lib.tags["removed_bytes_total"] = int(p["removed_bytes_total"])
-    if p["removed_function_mask"] is not None:
-        lib.tags["removed_function_mask"] = p["removed_function_mask"]
     return DebloatedLibrary(
         lib=lib,
         original=original,

@@ -167,11 +167,10 @@ class ElfBuilder:
                     f"{self._symtab_text_section!r}"
                 )
             text_index = text_spec.index
-            reloc = SymbolTable(self._symtab.entries.copy(), self._symtab.names)
-            reloc.entries["st_value"] = (
-                reloc.entries["st_value"] + text_spec.offset + C.DEFAULT_BASE_VADDR
-            )
-            reloc.entries["st_shndx"] = text_index
+            entries = self._symtab.entries.copy()
+            entries["st_value"] += text_spec.offset + C.DEFAULT_BASE_VADDR
+            entries["st_shndx"] = text_index
+            reloc = SymbolTable(entries, self._symtab.names)
             strtab_builder = StringTableBuilder()
             symtab_bytes = reloc.to_bytes(strtab_builder)
             strtab_bytes = strtab_builder.finish()

@@ -182,6 +182,23 @@ class SharedLibrary:
         )
         return payload.complement(universe)
 
+    def with_data(self, data: SparseFile) -> "SharedLibrary":
+        """This library's parsed structure over different bytes.
+
+        For images whose structural bytes equal this one's - compaction's
+        output, which only zeroes code and patches fatbin flag words.  The
+        section list and the (read-only) symbol table are shared, not
+        re-parsed; ``tags`` start empty and the fatbin is parsed lazily
+        from ``data``.
+        """
+        return SharedLibrary(
+            soname=self.soname,
+            data=data,
+            sections=self.sections,
+            symtab=self.symtab,
+            proprietary=self.proprietary,
+        )
+
     def copy(self) -> "SharedLibrary":
         return SharedLibrary(
             soname=self.soname,

@@ -14,6 +14,7 @@ from repro.elf.structs import Elf64Header, Elf64SectionHeader
 from repro.elf.strtab import StringTable
 from repro.elf.symtab import SymbolTable
 from repro.errors import ElfFormatError
+from repro.utils.intervals import Range
 from repro.utils.sparsefile import SparseFile
 
 
@@ -70,10 +71,31 @@ def parse_shared_library(
     )
 
 
-def _parse_symtab(
-    data: SparseFile, sections: list[Section], soname: str
-) -> SymbolTable:
-    for i, sec in enumerate(sections):
+def parsed_ranges(lib: SharedLibrary) -> list[Range]:
+    """The byte ranges :func:`parse_shared_library` decodes ``lib`` from.
+
+    The ELF header, the section header table, ``.shstrtab``, and the symbol
+    table with its string table.  An image of the same logical size that
+    is byte-equal to ``lib.data`` on these ranges parses to ``lib``'s
+    sections and symbol table.
+    """
+    header = Elf64Header.unpack(lib.data.read(0, C.EHDR_SIZE))
+    ranges = [
+        Range(0, C.EHDR_SIZE),
+        Range(header.e_shoff, header.e_shoff + header.e_shnum * C.SHDR_SIZE),
+        lib.sections[header.e_shstrndx].file_range,
+    ]
+    tables = _symtab_sections(lib.sections, lib.soname)
+    if tables is not None:
+        ranges.extend(sec.file_range for sec in tables)
+    return ranges
+
+
+def _symtab_sections(
+    sections: list[Section], soname: str
+) -> tuple[Section, Section] | None:
+    """The first symbol table section and the string table it links to."""
+    for sec in sections:
         if sec.header.sh_type in (C.SHT_SYMTAB, C.SHT_DYNSYM):
             if sec.header.sh_entsize not in (0, C.SYM_SIZE):
                 raise ElfFormatError(
@@ -87,7 +109,17 @@ def _parse_symtab(
                 raise ElfFormatError(
                     f"{soname}: symtab links to non-STRTAB section {str_sec.name!r}"
                 )
-            sym_bytes = data.read(sec.header.sh_offset, sec.header.sh_size)
-            str_bytes = data.read(str_sec.header.sh_offset, str_sec.header.sh_size)
-            return SymbolTable.parse(sym_bytes, str_bytes)
-    return SymbolTable.empty()
+            return sec, str_sec
+    return None
+
+
+def _parse_symtab(
+    data: SparseFile, sections: list[Section], soname: str
+) -> SymbolTable:
+    tables = _symtab_sections(sections, soname)
+    if tables is None:
+        return SymbolTable.empty()
+    sym_sec, str_sec = tables
+    sym_bytes = data.read(sym_sec.header.sh_offset, sym_sec.header.sh_size)
+    str_bytes = data.read(str_sec.header.sh_offset, str_sec.header.sh_size)
+    return SymbolTable.parse(sym_bytes, str_bytes)

@@ -38,6 +38,9 @@ class SymbolTable:
             raise ValueError("entries must use SYM_DTYPE")
         if len(entries) != len(names):
             raise ValueError("entries/names length mismatch")
+        # Tables are shared between a library, its copies and every library
+        # debloated from it, so a table is never mutated in place.
+        entries.flags.writeable = False
         self.entries = entries
         self.names = names
 

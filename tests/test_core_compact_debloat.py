@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.compact import Compactor, exact_kernel_removal
+from repro.api import EngineConfig
+from repro.api.config import EvictionPolicy
+from repro.api.federation import StoreFederation
+from repro.core.compact import Compactor, exact_kernel_removal, reparse_oracle
 from repro.core.cpu import FunctionLocator
 from repro.core.debloat import Debloater, DebloatOptions
 from repro.core.detect import KernelDetector
@@ -15,6 +19,7 @@ from repro.core.verify import verify_debloat
 from repro.cuda.arch import get_device
 from repro.cuda.clock import VirtualClock
 from repro.cuda.driver import CudaDriver
+from repro.elf.validate import validate_shared_library
 from repro.errors import MissingFunctionError, MissingKernelError
 from repro.fatbin import constants as FC
 from repro.frameworks.catalog import get_framework
@@ -116,6 +121,110 @@ class TestCompactor:
         handle = driver.module_get_function(module, "k_0_0")
         with pytest.raises(MissingKernelError):
             driver.launch_kernel(handle)  # k_0_0 launches removed k_0_3
+
+
+def assert_matches_oracle(debloated):
+    """The derived library equals a full re-parse of its compacted bytes."""
+    lib, oracle = debloated.lib, reparse_oracle(debloated)
+    assert lib.symtab is debloated.original.symtab  # shared, not re-parsed
+    assert [(s.name, s.header) for s in lib.sections] == [
+        (s.name, s.header) for s in oracle.sections
+    ]
+    assert lib.symtab.entries.tobytes() == oracle.symtab.entries.tobytes()
+    assert lib.symtab.names == oracle.symtab.names
+    assert _element_headers(lib) == _element_headers(oracle)
+    assert validate_shared_library(lib) == validate_shared_library(oracle)
+    assert lib.data == oracle.data
+    assert lib.tags.keys() == oracle.tags.keys()
+    assert lib.tags["removed_bytes_total"] == oracle.tags["removed_bytes_total"]
+
+
+def _element_headers(lib):
+    if lib.fatbin is None:
+        return None
+    return [(e.index, e.header_offset, e.header) for e in lib.fatbin.elements()]
+
+
+def _removal_case(lib, seed: int, kernel_share: float, fn_share: float,
+                  with_gpu: bool, with_cpu: bool):
+    """Locate results keeping a seeded random share of kernels/functions."""
+    rng = np.random.default_rng(seed)
+    gpu = cpu = None
+    if with_gpu and lib.fatbin is not None:
+        elements = list(lib.fatbin.elements())
+        names = sorted({n for e in elements for n in e.cubin.names})
+        keep = rng.random(len(names)) < kernel_share
+        arch = int(rng.choice(sorted({e.sm_arch for e in elements})))
+        used = frozenset(n for n, k in zip(names, keep) if k)
+        gpu = KernelLocator().locate(lib, used, arch)
+    if with_cpu:
+        n = len(lib.symtab)
+        used_fns = np.flatnonzero(rng.random(n) < fn_share).astype(np.int64)
+        cpu = FunctionLocator().locate(lib, used_fns)
+    return cpu, gpu
+
+
+_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    kernel_share=st.floats(0.0, 1.0),
+    fn_share=st.floats(0.0, 1.0),
+    with_gpu=st.booleans(),
+    with_cpu=st.booleans(),
+)
+
+
+class TestReparseOracle:
+    """Compaction reuses the original's parsed structure; a full re-parse
+    of the compacted bytes must build the same library."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_CASES)
+    def test_small_library_matches_oracle(self, seed, kernel_share, fn_share,
+                                          with_gpu, with_cpu):
+        lib = build_small_library()
+        cpu, gpu = _removal_case(lib, seed, kernel_share, fn_share,
+                                 with_gpu, with_cpu)
+        assert_matches_oracle(Compactor().compact(lib, cpu, gpu))
+
+    @settings(max_examples=10, deadline=None)
+    @given(**_CASES)
+    def test_table1_library_matches_oracle(self, seed, kernel_share,
+                                           fn_share, with_gpu, with_cpu):
+        lib = get_framework("pytorch", scale=TEST_SCALE).libraries[
+            "libtorch_cuda.so"
+        ]
+        cpu, gpu = _removal_case(lib, seed, kernel_share, fn_share,
+                                 with_gpu, with_cpu)
+        assert_matches_oracle(Compactor().compact(lib, cpu, gpu))
+
+    def test_store_libraries_match_oracle_after_churn(self):
+        federation = StoreFederation(
+            EngineConfig(
+                scale=TEST_SCALE,
+                options=DebloatOptions(runtime_comparison_top_n=0),
+                eviction=EvictionPolicy(mode="bytes", budget_bytes=1),
+            )
+        )
+        ids = [
+            "pytorch/train/mobilenetv2",
+            "pytorch/inference/mobilenetv2",
+            "pytorch/train/transformer",
+            "tensorflow/train/mobilenetv2",
+        ]
+        rng = np.random.default_rng(7)
+        for wid in rng.permutation(ids):
+            federation.admit(workload_by_id(str(wid)))
+        federation.evict(ids[1])
+        federation.admit(workload_by_id(ids[0]), pinned=True)
+        federation.sweep()
+        federation.admit(workload_by_id(ids[2]))
+        checked = 0
+        for shard in federation.shards():
+            shard.store.validate_invariants()
+            for debloated in shard.store.debloated_libraries().values():
+                assert_matches_oracle(debloated)
+                checked += 1
+        assert checked
 
 
 @pytest.fixture(scope="module")

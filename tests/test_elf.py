@@ -161,6 +161,11 @@ class TestSymbolTable:
         with pytest.raises(ElfFormatError):
             SymbolTable.parse(b"\x00" * 25, b"\x00")
 
+    def test_entries_are_read_only(self):
+        t = self._table()
+        with pytest.raises(ValueError):
+            t.entries["st_value"][0] = 1
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             SymbolTable(np.zeros(2, dtype=self._table().entries.dtype), ["a"])
@@ -235,14 +240,22 @@ class TestBuilderParser:
             parse_shared_library(b"\x7fELF")
 
 
+def _with_symbol_moved(lib, index: int, value: int):
+    """``lib`` with a corrupted copy of its symbol table (tables are shared
+    and read-only, so corruption builds a new one)."""
+    entries = lib.symtab.entries.copy()
+    entries["st_value"][index] = value
+    lib.symtab = SymbolTable(entries, lib.symtab.names)
+    return lib
+
+
 class TestValidator:
     def test_clean_library_has_no_errors(self, small_library):
         findings = validate_shared_library(small_library)
         assert not [f for f in findings if f.severity == "error"]
 
     def test_symbol_outside_text_detected(self, small_library):
-        lib = small_library.copy()
-        lib.symtab.entries["st_value"][0] = 10**9
+        lib = _with_symbol_moved(small_library.copy(), 0, 10**9)
         findings = validate_shared_library(lib)
         assert any("outside .text" in f.message for f in findings)
 
@@ -255,8 +268,7 @@ class TestValidator:
         assert any("overlap" in f.message for f in findings)
 
     def test_strict_mode_raises(self, small_library):
-        lib = small_library.copy()
-        lib.symtab.entries["st_value"][0] = 10**9
+        lib = _with_symbol_moved(small_library.copy(), 0, 10**9)
         with pytest.raises(ElfFormatError):
             validate_shared_library(lib, strict=True)
 

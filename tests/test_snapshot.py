@@ -19,12 +19,17 @@ from repro.api.federation import StoreFederation
 from repro.core.debloat import DebloatOptions
 from repro.core.serialize import (
     STORE_KIND,
+    debloated_from_payload,
     multi_report_to_payload,
     payload_dumps,
     payload_equal,
+    sparsefile_from_payload,
     store_from_payload,
 )
+from repro.elf import constants as C
+from repro.elf.parser import parse_shared_library
 from repro.errors import (
+    CacheDecodeError,
     FaultError,
     SnapshotError,
     SnapshotSchemaError,
@@ -115,6 +120,43 @@ class TestStoreImage:
             store.import_state({**image, "kind": "not_a_store"})
         with pytest.raises(SnapshotSchemaError):
             store.import_state({**image, "schema": 999})
+
+    def test_tampered_strtab_byte_rejected(self, pytorch):
+        store = DebloatStore(pytorch, OPTS)
+        store.admit(pt_specs()[0])
+        image = store.export_state()
+        soname = "libtorch_cuda.so"
+        original = pytorch.libraries[soname]
+        payload = _flip_byte(
+            image["debloated"][soname],
+            original.require_section(C.SEC_STRTAB).header.sh_offset + 1,
+        )
+        # The tables still parse: a re-parse alone would accept the image.
+        parse_shared_library(sparsefile_from_payload(payload["data"]))
+        with pytest.raises(CacheDecodeError, match="ELF structure bytes"):
+            debloated_from_payload(payload, original)
+        tampered = {
+            **image, "debloated": {**image["debloated"], soname: payload}
+        }
+        with pytest.raises(SnapshotError) as info:
+            DebloatStore(pytorch, OPTS).import_state(tampered)
+        assert isinstance(info.value.__cause__, CacheDecodeError)
+
+
+def _flip_byte(payload: dict, offset: int) -> dict:
+    """A debloated-library payload with the byte at file ``offset`` flipped."""
+    data = payload["data"]
+    position = 0
+    for start, stop in zip(data["starts"].tolist(), data["stops"].tolist()):
+        if start <= offset < stop:
+            position += offset - start
+            break
+        position += stop - start
+    else:
+        raise AssertionError(f"offset {offset} is not materialized")
+    blob = data["blob"].copy()
+    blob[position] ^= 0x01
+    return {**payload, "data": {**data, "blob": blob}}
 
 
 # -- snapshot directory --------------------------------------------------------
