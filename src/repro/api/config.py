@@ -90,14 +90,9 @@ class DurabilityConfig:
 class DegradedModes:
     """What the engine is allowed to do when a component fails.
 
-    Each knob trades a little fidelity for availability; all default on,
-    matching the ISSUE's failure model (see README "Failure model &
-    degraded modes"):
+    Each knob trades a little fidelity for availability; both default on
+    (see README "Failure model & degraded modes"):
 
-    * ``fanout_thread_fallback`` - a process-pool locate fan-out whose
-      pool breaks twice (original + one rebuild) re-runs the same shards
-      on threads instead of failing the admission; off = the
-      ``BrokenProcessPool`` propagates (and the retry policy decides).
     * ``serve_last_good_reads`` - while a shard is mid-recovery (a worker
       is retrying an admission against it), federation reads serve the
       shard's last successfully committed :class:`StoreSnapshot` instead
@@ -107,7 +102,6 @@ class DegradedModes:
       outright.  Either way the entry is recomputed.
     """
 
-    fanout_thread_fallback: bool = True
     serve_last_good_reads: bool = True
     quarantine_corrupt_entries: bool = True
 
@@ -246,7 +240,7 @@ class EngineConfig:
     Subsumes the knobs the old entry points wired by hand:
 
     * **pipeline** - ``options`` (a full :class:`DebloatOptions`, including
-      the ``locate_workers``/``locate_workers_mode`` fan-out), ``scale``
+      the ``locate_workers`` thread fan-out), ``scale``
       and ``archs`` (which framework build the engine debloats);
     * **cache** - ``use_cache`` (route reports, admission usage, and kernel
       indexes through the two-tier pipeline cache), ``disk_cache`` /

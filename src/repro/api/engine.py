@@ -94,9 +94,6 @@ class DebloatEngine:
             )
         if not self.config.degraded_modes.quarantine_corrupt_entries:
             self.cache.configure(quarantine=False)
-        from repro.core.debloat import configure_fanout
-
-        configure_fanout(self.config.degraded_modes.fanout_thread_fallback)
         if self.config.durability.enabled:
             import os
 
@@ -392,11 +389,9 @@ class DebloatEngine:
 
         Includes the server's worker/sweeper liveness (when a server is
         running), per-shard recovery state and retry counters from the
-        federation, process-wide locate fan-out degradations, and the
-        disk cache's quarantine count.  Safe to call on a closed engine.
+        federation, and the disk cache's quarantine count.  Safe to call on
+        a closed engine.
         """
-        from repro.core.debloat import fanout_events
-
         if self._closed:
             out: dict = {"state": "closed"}
         elif self._server is not None:
@@ -407,8 +402,6 @@ class DebloatEngine:
             out = {"state": target["state"], "target": target}
         if not self._closed:
             out["storage"] = self.federation.storage_stats()
-        events = fanout_events()
-        out["fanout_degraded"] = len(events)
         out["quarantined_entries"] = self.cache.stats().get(
             "disk_quarantined", 0
         )

@@ -23,11 +23,7 @@
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +40,6 @@ from repro.cuda.costs import DEFAULT_COSTS, CostModel
 from repro.errors import VerificationError
 from repro.frameworks.spec import Framework
 from repro.loader.profiler import FunctionProfiler
-from repro.testing import faults
 from repro.workloads.runner import WorkloadRunner
 from repro.workloads.spec import WorkloadSpec
 
@@ -80,29 +75,6 @@ class DebloatOptions:
     #: regardless of worker count: each library is charged to its own clock
     #: and sums are taken in library order.
     locate_workers: int = 0
-    #: How the fan-out runs: ``"thread"`` (a ThreadPoolExecutor, the
-    #: GIL-bound seed behaviour) or ``"process"`` (libraries sharded across
-    #: a ProcessPoolExecutor; workers regenerate the catalog framework and
-    #: ship ``DebloatedLibrary``/``LocateResult`` payloads back through
-    #: :mod:`repro.core.serialize`).  Byte-identical to serial either way;
-    #: non-catalog framework builds silently fall back to threads (a worker
-    #: process cannot regenerate them).  Default from
-    #: ``REPRO_LOCATE_WORKERS_MODE``; like ``locate_workers``, this is a
-    #: pure tuning knob and is normalized out of every cache identity.
-    locate_workers_mode: str = field(
-        default_factory=lambda: os.environ.get(
-            "REPRO_LOCATE_WORKERS_MODE", "thread"
-        )
-    )
-
-    def __post_init__(self) -> None:
-        if self.locate_workers_mode not in ("thread", "process"):
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"locate_workers_mode must be 'thread' or 'process', got "
-                f"{self.locate_workers_mode!r}"
-            )
 
 
 @dataclass
@@ -244,64 +216,30 @@ class Debloater:
         Each library is charged to a private :class:`VirtualClock` with
         explicit locate/compact marks, so the work is embarrassingly
         parallel and the timing sums (taken in library order by the caller)
-        are identical whether the loop runs serial, fanned out over
-        threads, or sharded across processes
-        (``locate_workers_mode="process"``).
+        are identical whether the loop runs serial or fanned out over
+        threads.
         """
         libs = self.framework.libraries_for(features)
         no_functions = np.zeros(0, dtype=np.int64)
-        used_kernels = {
-            lib.soname: detector.used_kernels_for(lib.soname) for lib in libs
-        }
-        used_fn = {
-            lib.soname: used_functions.get(lib.soname, no_functions)
-            for lib in libs
-        }
         options = self.options
-        workers = options.locate_workers
 
-        if workers and workers > 1 and len(libs) > 1:
-            if options.locate_workers_mode == "process":
-                sharded = _process_sharded_locate_compact(
-                    self.framework,
-                    libs,
-                    used_kernels,
-                    used_fn,
-                    device_arch,
-                    options,
-                    workers,
-                )
-                if sharded is not None:
-                    return sharded
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        lambda lib: (
-                            lib,
-                            *_locate_compact_library(
-                                lib,
-                                used_kernels[lib.soname],
-                                used_fn[lib.soname],
-                                device_arch,
-                                options,
-                            ),
-                        ),
-                        libs,
-                    )
-                )
-        return [
-            (
+        def one(lib) -> tuple:
+            return (
                 lib,
                 *_locate_compact_library(
                     lib,
-                    used_kernels[lib.soname],
-                    used_fn[lib.soname],
+                    detector.used_kernels_for(lib.soname),
+                    used_functions.get(lib.soname, no_functions),
                     device_arch,
                     options,
                 ),
             )
-            for lib in libs
-        ]
+
+        workers = options.locate_workers
+        if workers and workers > 1 and len(libs) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(one, libs))
+        return [one(lib) for lib in libs]
 
     # -- multi-workload debloating (paper §5 extension) ---------------------------
 
@@ -355,7 +293,7 @@ class Debloater:
         return report
 
 
-# -- per-library pipeline + process sharding ----------------------------------
+# -- per-library pipeline ------------------------------------------------------
 
 
 def _locate_compact_library(
@@ -367,9 +305,9 @@ def _locate_compact_library(
 ) -> tuple:
     """Locate + compact one library on a private clock.
 
-    The unit of work every fan-out mode shares: pure in (library, usage,
-    architecture, options), so serial, threaded, and process-sharded runs
-    produce identical results and identical per-library clock marks.
+    The unit of work serial and threaded runs share: pure in (library,
+    usage, architecture, options), so both produce identical results and
+    identical per-library clock marks.
     Returns ``(gpu_res, debloated, locate_s, compact_s)``.
     """
     costs = options.costs
@@ -385,225 +323,6 @@ def _locate_compact_library(
     locate_mark = clock.now
     debloated = Compactor(costs).compact(lib, cpu_res, gpu_res, clock=clock)
     return gpu_res, debloated, locate_mark, clock.now - locate_mark
-
-
-def _pool_context():
-    """Fork when the platform has it (workers inherit the generated
-    framework cache for free); the spawn fallback regenerates from the
-    catalog, which is deterministic but pays the generation cost once per
-    worker."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
-@dataclass(frozen=True)
-class FanoutDegraded:
-    """One process fan-out that fell back to thread mode.
-
-    Recorded when a :class:`BrokenProcessPool` survives the single pool
-    rebuild: the admission itself still succeeds (the caller re-runs the
-    same shards on threads - the per-library work is a pure function, so
-    results are identical), but the degradation is observable through
-    :func:`fanout_events` and the engine's ``health()``.
-    """
-
-    framework: str
-    shards: int
-    reason: str
-
-
-_FANOUT_EVENTS: list[FanoutDegraded] = []
-_FANOUT_LOCK = threading.Lock()
-_FANOUT_THREAD_FALLBACK = True
-
-
-def configure_fanout(thread_fallback: bool = True) -> None:
-    """Process-wide degraded-mode switch for the locate fan-out.
-
-    ``thread_fallback=False`` makes a twice-broken process pool propagate
-    its :class:`BrokenProcessPool` (the admission retry policy then
-    decides) instead of silently re-running on threads; the engine facade
-    sets this from ``EngineConfig.degraded_modes``.
-    """
-    global _FANOUT_THREAD_FALLBACK
-    _FANOUT_THREAD_FALLBACK = bool(thread_fallback)
-
-
-def fanout_events() -> tuple[FanoutDegraded, ...]:
-    """Every recorded process-to-thread fan-out degradation, oldest first."""
-    with _FANOUT_LOCK:
-        return tuple(_FANOUT_EVENTS)
-
-
-def clear_fanout_events() -> None:
-    with _FANOUT_LOCK:
-        _FANOUT_EVENTS.clear()
-
-
-def _record_fanout_degraded(framework: str, shards: int, reason: str) -> None:
-    with _FANOUT_LOCK:
-        _FANOUT_EVENTS.append(FanoutDegraded(framework, shards, reason))
-
-
-def _process_sharded_locate_compact(
-    framework: Framework,
-    libs: list,
-    used_kernels: dict[str, frozenset[str]],
-    used_fn: dict[str, np.ndarray],
-    device_arch: int,
-    options: DebloatOptions,
-    workers: int,
-) -> list[tuple] | None:
-    """Shard the per-library loop across a process pool.
-
-    Returns results in library order, or ``None`` when the framework is
-    not a catalog build a worker process could regenerate (the caller
-    falls back to the thread pool).  Workers ship
-    ``DebloatedLibrary``/``LocateResult`` payloads back through
-    :mod:`repro.core.serialize`; the parent reattaches its own original
-    libraries, so the reconstruction is exactly what
-    :meth:`~repro.core.compact.Compactor.compact` would have produced
-    in-process.
-    """
-    import dataclasses
-
-    from repro.core import serialize
-    from repro.frameworks.catalog import build_key_for
-
-    key = build_key_for(framework)
-    if key is None:
-        return None
-    name, scale, archs = key
-
-    shards = [libs[i::workers] for i in range(workers)]
-    shards = [shard for shard in shards if shard]
-    tasks = []
-    for shard in shards:
-        sonames = [lib.soname for lib in shard]
-        tasks.append(
-            serialize.value_dumps(
-                {
-                    "framework": name,
-                    "scale": scale,
-                    "archs": list(archs),
-                    "device_arch": device_arch,
-                    "sonames": sonames,
-                    "used_kernels": {
-                        s: sorted(used_kernels[s]) for s in sonames
-                    },
-                    "used_functions": {
-                        s: np.asarray(used_fn[s], dtype=np.int64)
-                        for s in sonames
-                    },
-                    "debloat_cpu": options.debloat_cpu,
-                    "debloat_gpu": options.debloat_gpu,
-                    "costs": dataclasses.asdict(options.costs),
-                },
-                serialize.SHARD_TASK_KIND,
-            )
-        )
-
-    def run_pool() -> list[bytes]:
-        with ProcessPoolExecutor(
-            max_workers=len(shards), mp_context=_pool_context()
-        ) as pool:
-            futures = [
-                pool.submit(_locate_compact_shard, task) for task in tasks
-            ]
-            blobs: list[bytes] = []
-            for i, future in enumerate(futures):
-                # Parent-side collection is the fault site: an injected
-                # BrokenProcessPool lands exactly where a crashed worker
-                # process would surface.
-                faults.check(f"locate.shard.{i}")
-                blobs.append(future.result())
-            return blobs
-
-    try:
-        try:
-            blobs = run_pool()
-        except BrokenProcessPool:
-            # A crashed worker poisons the whole pool; one rebuild retries
-            # the full shard set (shard work is pure, so re-running is
-            # safe and byte-identical).
-            blobs = run_pool()
-    except BrokenProcessPool as exc:
-        _record_fanout_degraded(name, len(shards), str(exc))
-        if not _FANOUT_THREAD_FALLBACK:
-            raise
-        return None
-
-    by_soname: dict[str, dict] = {}
-    for blob in blobs:
-        for item in serialize.value_loads(blob, serialize.SHARD_RESULT_KIND):
-            by_soname[item["soname"]] = item
-    out: list[tuple] = []
-    for lib in libs:
-        item = by_soname[lib.soname]
-        gpu_res = (
-            serialize.locate_from_payload(item["gpu"])
-            if item["gpu"] is not None
-            else None
-        )
-        debloated = serialize.debloated_from_payload(item["debloated"], lib)
-        out.append(
-            (
-                lib,
-                gpu_res,
-                debloated,
-                float(item["locate_s"]),
-                float(item["compact_s"]),
-            )
-        )
-    return out
-
-
-def _locate_compact_shard(blob: bytes) -> bytes:
-    """Worker-process entry point: one shard of libraries, payload in/out."""
-    from repro.core import serialize
-    from repro.frameworks.catalog import get_framework
-
-    task = serialize.value_loads(blob, serialize.SHARD_TASK_KIND)
-    framework = get_framework(
-        task["framework"],
-        scale=float(task["scale"]),
-        archs=tuple(int(a) for a in task["archs"]),
-    )
-    costs_kwargs = dict(task["costs"])
-    costs_kwargs["extra"] = dict(costs_kwargs.get("extra") or {})
-    options = DebloatOptions(
-        costs=CostModel(**costs_kwargs),
-        debloat_cpu=bool(task["debloat_cpu"]),
-        debloat_gpu=bool(task["debloat_gpu"]),
-    )
-    device_arch = int(task["device_arch"])
-    results = []
-    for soname in task["sonames"]:
-        lib = framework.libraries[soname]
-        gpu_res, debloated, locate_s, compact_s = _locate_compact_library(
-            lib,
-            frozenset(task["used_kernels"].get(soname, ())),
-            np.asarray(
-                task["used_functions"].get(soname, ()), dtype=np.int64
-            ),
-            device_arch,
-            options,
-        )
-        results.append(
-            {
-                "soname": soname,
-                "gpu": (
-                    serialize.locate_to_payload(gpu_res)
-                    if gpu_res is not None
-                    else None
-                ),
-                "debloated": serialize.debloated_to_payload(debloated),
-                "locate_s": locate_s,
-                "compact_s": compact_s,
-            }
-        )
-    return serialize.value_dumps(results, serialize.SHARD_RESULT_KIND)
 
 
 @dataclass

@@ -377,7 +377,7 @@ def value_loads(data: bytes, kind: str) -> Any:
 
 
 #: Public aliases: the cached-value tier persists bare RunMetrics too, and
-#: the process-sharded locate/compact fan-out ships LocateResults.
+#: store images (snapshots and checkpoints) carry LocateResults.
 metrics_to_payload = _metrics_to_payload
 metrics_from_payload = _metrics_from_payload
 locate_to_payload = _locate_to_payload
@@ -445,14 +445,8 @@ def multi_report_to_payload(report) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# process-shard payloads: SparseFile / DebloatedLibrary across workers
+# library payloads: SparseFile / DebloatedLibrary in store images
 # ---------------------------------------------------------------------------
-
-#: Payload kinds of the process-sharded locate/compact fan-out
-#: (:mod:`repro.core.debloat`): a shard task shipped to a worker process and
-#: the per-library results shipped back.
-SHARD_TASK_KIND = "locate_shard_task"
-SHARD_RESULT_KIND = "locate_shard_result"
 
 
 def sparsefile_to_payload(sf) -> dict[str, Any]:
@@ -493,9 +487,9 @@ def sparsefile_from_payload(p: dict[str, Any]):
 def debloated_to_payload(d) -> dict[str, Any]:
     """Wire form of a :class:`~repro.core.compact.DebloatedLibrary`.
 
-    Ships the *compacted* bytes plus the removal record; the original
-    library (typically hundreds of MB of generated content the parent
-    already holds) is reattached on the other side by
+    Holds the *compacted* bytes plus the removal record; the original
+    library (typically hundreds of MB of generated content the reader
+    regenerates from the catalog) is reattached on load by
     :func:`debloated_from_payload`, never serialized.
     """
     lib = d.lib
@@ -532,7 +526,7 @@ def debloated_from_payload(p: dict[str, Any], original):
     soname = p["soname"]
     if soname != original.soname:
         raise CacheDecodeError(
-            f"shard result for {soname!r} paired with {original.soname!r}"
+            f"payload for {soname!r} paired with {original.soname!r}"
         )
     if bool(p["proprietary"]) != original.proprietary:
         raise CacheDecodeError(f"{soname}: proprietary flag differs")

@@ -89,26 +89,17 @@ class PipelineCache:
         options: DebloatOptions | None,
         archs: tuple[int, ...] = SHIPPED_ARCHITECTURES,
     ) -> tuple:
-        # locate_workers / locate_workers_mode are pure tuning knobs -
-        # reports are deterministic for any worker count or fan-out mode
-        # (see DebloatOptions) - so they are normalized out of the
-        # identity: runs with different fan-out share an entry.  The mode
-        # field is *excluded* (not just defaulted) from the frozen tuple so
-        # keys - and therefore the disk-tier digests of entries persisted
-        # before the field existed - stay byte-identical.
+        # locate_workers is a pure tuning knob - reports are deterministic
+        # for any worker count (see DebloatOptions) - so it is normalized
+        # out of the identity: runs with different fan-out share an entry.
         options = dataclasses.replace(
             options or DebloatOptions(), locate_workers=0
-        )
-        frozen_options = tuple(
-            item
-            for item in _freeze(options)
-            if item[0] != "locate_workers_mode"
         )
         return (
             *spec_run_identity(spec),
             spec.framework,
             scale,
-            frozen_options,
+            _freeze(options),
             tuple(archs),
         )
 

@@ -656,12 +656,11 @@ def build_key_for(
 ) -> tuple[str, float, tuple[int, ...]] | None:
     """The ``(name, scale, archs)`` generation key of a catalog build.
 
-    A memo-table identity scan: returns the key a worker process can feed
-    back into :func:`get_framework` to regenerate byte-identical libraries,
-    or ``None`` for instances that did not come out of the catalog memo
-    (hand-built specs, orphans of :func:`clear_framework_cache`) - those
-    cannot be re-derived in another process and callers must stay
-    in-process.
+    A memo-table identity scan: returns the key another process (a
+    snapshot or checkpoint reader) can feed back into :func:`get_framework`
+    to regenerate byte-identical libraries, or ``None`` for instances that
+    did not come out of the catalog memo (hand-built specs, orphans of
+    :func:`clear_framework_cache`) - those cannot be re-derived elsewhere.
     """
     for key, cached in _FRAMEWORK_CACHE.items():
         if cached is framework:

@@ -350,17 +350,16 @@ class DebloatServer:
         with self._state_lock:
             leftovers = [t for t, _ in self._pending.values()]
             self._pending.clear()
-        for ticket in leftovers:
-            won = ticket._resolve(
-                time.perf_counter(),
-                None,
-                ServerClosedError(
-                    f"server closed with admission of "
-                    f"{ticket.spec.workload_id} still pending"
-                ),
-            )
-            if won:
-                with self._state_lock:
+            for ticket in leftovers:
+                won = ticket._resolve(
+                    time.perf_counter(),
+                    None,
+                    ServerClosedError(
+                        f"server closed with admission of "
+                        f"{ticket.spec.workload_id} still pending"
+                    ),
+                )
+                if won:
                     self._failed += 1
 
     def __enter__(self) -> "DebloatServer":
@@ -467,8 +466,11 @@ class DebloatServer:
         result: AdmissionResult | None,
         error: BaseException | None,
     ) -> None:
-        won = ticket._resolve(started, result, error)
+        # Resolve and count in one state-lock section: a waiter that wakes
+        # from result() and reads stats() then sees its admission counted.
+        # Lock order is state -> ticket (_resolve takes only the ticket's).
         with self._state_lock:
+            won = ticket._resolve(started, result, error)
             self._pending.pop(id(ticket), None)
             if won:
                 if error is None:

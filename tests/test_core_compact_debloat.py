@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import EngineConfig
 from repro.api.config import EvictionPolicy
 from repro.api.federation import StoreFederation
+from repro.core import serialize
 from repro.core.compact import Compactor, exact_kernel_removal, reparse_oracle
 from repro.core.cpu import FunctionLocator
 from repro.core.debloat import Debloater, DebloatOptions
@@ -398,6 +399,29 @@ class TestFusedInstrumentedRun:
         assert serial.libraries == parallel.libraries
         assert serial.timing.locate_s == parallel.timing.locate_s
         assert serial.timing.compact_s == parallel.timing.compact_s
+
+    def test_serial_thread_libraries_identical(self):
+        """Thread fan-out yields the same report, compacted bytes and
+        removal records as the serial loop."""
+        fw = get_framework("pytorch", scale=TEST_SCALE)
+        spec = workload_by_id("pytorch/train/mobilenetv2")
+        fast = dict(verify=False, runtime_comparison_top_n=0)
+        serial_debloater = Debloater(fw, DebloatOptions(**fast))
+        thread_debloater = Debloater(
+            fw, DebloatOptions(locate_workers=4, **fast)
+        )
+        assert serialize.reports_equal(
+            serial_debloater.debloat(spec), thread_debloater.debloat(spec)
+        )
+        serial_libs = serial_debloater.debloated_libraries
+        thread_libs = thread_debloater.debloated_libraries
+        assert serial_libs.keys() == thread_libs.keys()
+        for soname, d in serial_libs.items():
+            other = thread_libs[soname]
+            assert d.lib.data == other.lib.data, soname
+            assert d.removed_cpu_ranges == other.removed_cpu_ranges, soname
+            assert d.removed_gpu_ranges == other.removed_gpu_ranges, soname
+            assert d.compacted_file_size == other.compacted_file_size
 
 
 class TestVerificationNegativeCases:

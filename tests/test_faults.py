@@ -1,6 +1,6 @@
 """Fault-tolerance tests: deterministic injection via repro.testing.faults,
 transactional admission rollback, retry/backoff in the server workers,
-process-pool degrade, disk-cache quarantine, and degraded-mode health.
+disk-cache quarantine, and degraded-mode health.
 
 The end-to-end class runs the acceptance plan (``ci-standard``, or
 whatever ``$REPRO_FAULT_PLAN`` names in the CI fault leg) against a live
@@ -16,8 +16,6 @@ import time
 
 import pytest
 
-from repro.core import debloat as core_debloat
-from repro.core.debloat import DebloatOptions
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -37,14 +35,10 @@ from tests.test_serving import OPTS, SPEC_IDS, assert_same_libraries, specs
 
 @pytest.fixture(autouse=True)
 def _clean_fault_state():
-    """No plan, no fan-out residue, default degrade mode around each test."""
+    """No active fault plan around each test."""
     faults.deactivate()
-    core_debloat.clear_fanout_events()
-    core_debloat.configure_fanout(True)
     yield
     faults.deactivate()
-    core_debloat.clear_fanout_events()
-    core_debloat.configure_fanout(True)
 
 
 # -- retry policy --------------------------------------------------------------
@@ -156,15 +150,16 @@ class TestFaultPlan:
 
     def test_prefix_matching(self):
         plan = faults.FaultPlan(
-            [faults.FaultRule("locate.shard", ordinals=(1,),
-                              kind="broken_pool")],
+            [faults.FaultRule("diskcache", ordinals=(1, 2), kind="oserror")],
             seed=1,
         )
-        from concurrent.futures.process import BrokenProcessPool
-
-        with pytest.raises(BrokenProcessPool):
-            plan.check("locate.shard.0")
-        plan.check("locate.other")  # unrelated site: no match, no count
+        with pytest.raises(OSError):
+            plan.check("diskcache.read")
+        plan.check("diskcachex.read")  # not a dotted prefix: no match
+        plan.check("sweeper.tick")  # unrelated site: no match, no count
+        with pytest.raises(OSError):
+            plan.check("diskcache.write")  # ordinal 2 of the same rule
+        assert plan.stats() == {"diskcache": 2}
 
     def test_rate_rule_is_deterministic(self):
         def run(plan):
@@ -462,59 +457,6 @@ class TestServerFaultTolerance:
         assert health["state"] == "ok"
         assert health["workers_alive"] == 1
         assert health["store"] == {"rollbacks": 0, "last_error": None}
-
-
-# -- process fan-out degrade ---------------------------------------------------
-
-
-PROCESS_OPTS = DebloatOptions(
-    runtime_comparison_top_n=0,
-    locate_workers=2,
-    locate_workers_mode="process",
-)
-
-
-class TestFanoutDegrade:
-    """The process-sharded locate/compact path (the full pipeline's
-    ``locate_workers_mode="process"``) under a poisoned pool."""
-
-    def _serial(self, pytorch):
-        debloater = core_debloat.Debloater(pytorch, OPTS)
-        debloater.debloat(specs()[0])
-        return debloater.debloated_libraries
-
-    def test_broken_pool_rebuilt_once_byte_identical(self, pytorch):
-        serial = self._serial(pytorch)
-        plan = faults.parse_plan("seed=1;locate.shard@1:broken_pool")
-        with faults.fault_plan(plan):
-            debloater = core_debloat.Debloater(pytorch, PROCESS_OPTS)
-            debloater.debloat(specs()[0])
-        assert plan.stats() == {"locate.shard": 1}
-        assert core_debloat.fanout_events() == ()  # rebuild succeeded
-        assert_same_libraries(debloater.debloated_libraries, serial)
-
-    def test_double_break_degrades_to_threads(self, pytorch):
-        serial = self._serial(pytorch)
-        plan = faults.parse_plan("seed=1;locate.shard@1,2:broken_pool")
-        with faults.fault_plan(plan):
-            debloater = core_debloat.Debloater(pytorch, PROCESS_OPTS)
-            debloater.debloat(specs()[0])
-        events = core_debloat.fanout_events()
-        assert len(events) == 1
-        assert events[0].framework == "pytorch"
-        assert "injected broken pool" in events[0].reason
-        # Degraded to the thread path, still byte-identical.
-        assert_same_libraries(debloater.debloated_libraries, serial)
-
-    def test_degrade_disabled_surfaces_the_failure(self, pytorch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        core_debloat.configure_fanout(False)
-        plan = faults.parse_plan("seed=1;locate.shard@1,2:broken_pool")
-        with faults.fault_plan(plan):
-            debloater = core_debloat.Debloater(pytorch, PROCESS_OPTS)
-            with pytest.raises(BrokenProcessPool):
-                debloater.debloat(specs()[0])
 
 
 # -- disk-cache quarantine -----------------------------------------------------

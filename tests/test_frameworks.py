@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError
 from repro.frameworks.catalog import (
     FRAMEWORK_NAMES,
     build_id_for,
+    build_key_for,
     get_framework,
     nvidia_libraries,
     pytorch_spec,
@@ -26,7 +27,7 @@ from repro.frameworks.genlib import (
 )
 from repro.frameworks.ops import OpInstance, OpKind, Phase, batch_bucket
 from repro.frameworks.runtime import FrameworkRuntime
-from repro.frameworks.spec import LibrarySpec
+from repro.frameworks.spec import Framework, LibrarySpec
 
 from tests.conftest import TEST_SCALE
 
@@ -86,6 +87,19 @@ class TestGeneration:
         a = generate_library(spec, "b1", scale=TEST_SCALE)
         b = generate_library(spec, "b2", scale=TEST_SCALE)
         assert a.data != b.data
+
+    def test_catalog_build_key_roundtrip(self, pytorch):
+        assert build_key_for(pytorch) is not None
+        name, scale, archs = build_key_for(pytorch)
+        assert get_framework(name, scale=scale, archs=archs) is pytorch
+
+    def test_non_catalog_build_has_no_key(self, pytorch):
+        """A hand-made framework is not in the catalog memo."""
+        orphan = Framework(
+            spec=pytorch.spec, libraries=pytorch.libraries,
+            scale=pytorch.scale,
+        )
+        assert build_key_for(orphan) is None
 
     def test_torch_shared_between_pytorch_and_transformers(self):
         assert build_id_for("pytorch", "libtorch_cuda.so") == build_id_for(

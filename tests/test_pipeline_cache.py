@@ -92,19 +92,6 @@ class TestCacheBehaviour:
         assert a is b
         assert len(cache) == 1
 
-    def test_locate_workers_mode_not_part_of_the_key(self, cache):
-        """Thread vs process sharding is byte-identical by contract, so
-        both modes must share one cache entry (and one disk digest)."""
-        spec = workload_by_id(SPEC_ID)
-        a = report_for(spec, TEST_SCALE)
-        b = report_for(
-            spec,
-            TEST_SCALE,
-            DebloatOptions(locate_workers=4, locate_workers_mode="process"),
-        )
-        assert a is b
-        assert len(cache) == 1
-
     def test_none_options_equal_default_options(self, cache):
         spec = workload_by_id(SPEC_ID)
         assert report_for(spec, TEST_SCALE) is report_for(

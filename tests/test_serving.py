@@ -692,6 +692,30 @@ class TestStatsConsistency:
             assert snap["queued"] <= snap["in_flight"]
             assert snap["submitted"] <= submitted
 
+    def test_result_returns_after_the_admission_is_counted(
+        self, pytorch, monkeypatch
+    ):
+        """A waiter woken by result() must see its admission in stats():
+        the worker resolves the ticket and counts it in one step."""
+        import time
+
+        from repro.serving.server import AdmissionTicket
+
+        resolve = AdmissionTicket._resolve
+
+        def slow_resolve(self, *args, **kwargs):
+            won = resolve(self, *args, **kwargs)
+            time.sleep(0.05)  # widen the wake-then-count window
+            return won
+
+        monkeypatch.setattr(AdmissionTicket, "_resolve", slow_resolve)
+        store = DebloatStore(pytorch, OPTS)
+        with DebloatServer(store, workers=1) as server:
+            server.submit(specs()[0]).result(120)
+            stats = server.stats()
+        assert stats["served"] == 1
+        assert stats["in_flight"] == 0
+
     def test_stats_and_health_agree_on_queue_fields(self, pytorch):
         store = DebloatStore(pytorch, OPTS)
         with DebloatServer(store, workers=1) as server:

@@ -12,19 +12,27 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.api import DebloatEngine, EngineConfig
 from repro.api.federation import StoreFederation
+from repro.core.compact import Compactor
+from repro.core.cpu import FunctionLocator
 from repro.core.debloat import DebloatOptions
+from repro.core.locate import KernelLocator
 from repro.core.serialize import (
     STORE_KIND,
     debloated_from_payload,
+    debloated_to_payload,
     multi_report_to_payload,
     payload_dumps,
     payload_equal,
     sparsefile_from_payload,
+    sparsefile_to_payload,
     store_from_payload,
+    value_dumps,
+    value_loads,
 )
 from repro.elf import constants as C
 from repro.elf.parser import parse_shared_library
@@ -41,7 +49,7 @@ from repro.serving.store import DebloatStore
 from repro.testing import faults
 from repro.workloads.spec import workload_by_id
 
-from tests.conftest import TEST_SCALE
+from tests.conftest import TEST_SCALE, build_small_library
 
 OPTS = DebloatOptions(runtime_comparison_top_n=0)
 
@@ -72,6 +80,52 @@ def fed_config(**kwargs) -> EngineConfig:
     defaults = dict(scale=TEST_SCALE, options=OPTS)
     defaults.update(kwargs)
     return EngineConfig(**defaults)
+
+
+# -- library payload round-trip ------------------------------------------------
+
+
+class TestLibraryPayloadRoundTrip:
+    """The per-library payloads every store image is built from."""
+
+    def _compacted(self):
+        lib = build_small_library()
+        gpu = KernelLocator().locate(lib, frozenset({"k_0_0"}), 75)
+        cpu = FunctionLocator().locate(lib, np.array([0, 1, 5]))
+        return lib, Compactor().compact(lib, cpu, gpu)
+
+    def test_sparsefile_roundtrip_exact(self):
+        lib, debloated = self._compacted()
+        payload = sparsefile_to_payload(debloated.lib.data)
+        rebuilt = sparsefile_from_payload(payload)
+        assert rebuilt == debloated.lib.data  # extents AND chunks
+        assert rebuilt.logical_size == debloated.lib.data.logical_size
+
+    def test_debloated_roundtrip(self):
+        lib, debloated = self._compacted()
+        payload = debloated_to_payload(debloated)
+        # The payload survives the binary container snapshots are written in.
+        payload = value_loads(value_dumps(payload, STORE_KIND), STORE_KIND)
+        rebuilt = debloated_from_payload(payload, lib)
+        assert rebuilt.lib.data == debloated.lib.data
+        assert rebuilt.original is lib
+        assert rebuilt.removed_cpu_ranges == debloated.removed_cpu_ranges
+        assert rebuilt.removed_gpu_ranges == debloated.removed_gpu_ranges
+        assert rebuilt.removed_elements == debloated.removed_elements
+        assert rebuilt.removed_functions == debloated.removed_functions
+        assert rebuilt.compacted_file_size == debloated.compacted_file_size
+        assert rebuilt.lib.tags.keys() == debloated.lib.tags.keys()
+        assert np.array_equal(
+            rebuilt.lib.tags["removed_function_mask"],
+            debloated.lib.tags["removed_function_mask"],
+        )
+
+    def test_mismatched_original_rejected(self):
+        lib, debloated = self._compacted()
+        other = build_small_library(soname="libother.so")
+        payload = debloated_to_payload(debloated)
+        with pytest.raises(CacheDecodeError, match="paired with"):
+            debloated_from_payload(payload, other)
 
 
 # -- store image round-trip ----------------------------------------------------
