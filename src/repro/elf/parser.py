@@ -1,9 +1,12 @@
 """ELF64 reader: parse a :class:`SparseFile` back into a :class:`SharedLibrary`.
 
 The parser walks the section header table, decodes ``.shstrtab`` for section
-names, and materializes ``.symtab``/``.strtab`` into a
-:class:`~repro.elf.symtab.SymbolTable`.  It is strict about the invariants
-the rest of the pipeline relies on (entry sizes, link indices, bounds).
+names, and wraps ``.symtab``/``.strtab`` in a
+:class:`~repro.elf.symtab.SymbolTable` without copying them: the table reads
+both through zero-copy views of the file's own bytes and decodes symbol
+names only on demand.  It is strict about the invariants the rest of the
+pipeline relies on (entry sizes, link indices, bounds, symbol-name offsets
+and encoding), so a library that parses never fails later on its names.
 """
 
 from __future__ import annotations
@@ -120,6 +123,9 @@ def _parse_symtab(
     if tables is None:
         return SymbolTable.empty()
     sym_sec, str_sec = tables
-    sym_bytes = data.read(sym_sec.header.sh_offset, sym_sec.header.sh_size)
-    str_bytes = data.read(str_sec.header.sh_offset, str_sec.header.sh_size)
-    return SymbolTable.parse(sym_bytes, str_bytes)
+    sym_view = data.view(sym_sec.header.sh_offset, sym_sec.header.sh_size)
+    str_view = data.view(str_sec.header.sh_offset, str_sec.header.sh_size)
+    try:
+        return SymbolTable.parse(sym_view, str_view)
+    except ElfFormatError as exc:
+        raise ElfFormatError(f"{soname}: {sym_sec.name}: {exc}") from None

@@ -2,15 +2,21 @@
 
 String tables start with a NUL byte (so offset 0 is the empty string) and
 store NUL-terminated strings back to back.  The builder deduplicates exact
-repeats; the reader indexes the blob once so per-symbol name lookups are O(1)
-even for the ~600k-entry tables of ``libtorch_cuda.so``-scale libraries.
+repeats.  The reader works over the table's bytes in place - a ``bytes``
+blob or a read-only view into the library's own storage - and decodes a
+string only when asked: one name by offset (:meth:`StringTable.get`), or a
+whole symbol table's names in one pass (:meth:`StringTable.get_many`).
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from repro.errors import ElfFormatError
+
+_NUL = re.compile(b"\x00")
 
 
 class StringTableBuilder:
@@ -56,9 +62,14 @@ class StringTableBuilder:
 
 
 class StringTable:
-    """A parsed string table with O(1) offset->string lookup."""
+    """A parsed string table: offset -> string lookups over its bytes.
 
-    def __init__(self, blob: bytes) -> None:
+    ``blob`` may be ``bytes`` or a read-only ``memoryview`` into the
+    library's own bytes (:meth:`SparseFile.view`); the table never copies
+    it except transiently, to decode a whole symbol table at once.
+    """
+
+    def __init__(self, blob: bytes | memoryview) -> None:
         if not blob or blob[0] != 0:
             raise ElfFormatError("string table must start with NUL")
         if blob[-1] != 0:
@@ -68,18 +79,39 @@ class StringTable:
     def get(self, offset: int) -> str:
         if offset < 0 or offset >= len(self._blob):
             raise ElfFormatError(f"string offset {offset} out of range")
-        end = self._blob.index(b"\x00", offset)
-        return self._blob[offset:end].decode("utf-8")
+        end = _NUL.search(self._blob, offset).start()
+        try:
+            return str(self._blob[offset:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ElfFormatError(
+                f"string at offset {offset} is not valid UTF-8: {exc.reason}"
+            ) from None
 
     def get_many(self, offsets: np.ndarray) -> list[str]:
-        """Vectorized lookup for bulk symbol-name decoding."""
-        blob = self._blob
+        """Decode the names of symbols ``0..n-1`` from their ``st_name``s.
+
+        Offsets must be in range (the caller bounds-checks them in bulk);
+        a name that is not valid UTF-8 raises :class:`ElfFormatError`
+        naming its symbol index.
+        """
+        blob = bytes(self._blob)
         find = blob.index
         out: list[str] = []
-        for off in offsets.tolist():
-            end = find(b"\x00", off)
-            out.append(blob[off:end].decode("utf-8"))
+        try:
+            for off in offsets.tolist():
+                end = find(b"\x00", off)
+                out.append(blob[off:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ElfFormatError(
+                f"symbol {len(out)}: name at string offset {off} is not "
+                f"valid UTF-8: {exc.reason}"
+            ) from None
         return out
+
+    def is_ascii(self) -> bool:
+        """True if every byte is ASCII: then every NUL-terminated string
+        in the table decodes as UTF-8, wherever it starts."""
+        return int(np.frombuffer(self._blob, dtype=np.uint8).max()) < 0x80
 
     def __len__(self) -> int:
         return len(self._blob)

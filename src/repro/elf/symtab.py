@@ -6,6 +6,13 @@ object would dominate experiment runtime, so :class:`SymbolTable` keeps the
 six ``Elf64_Sym`` fields in a structured array and serializes/parses the
 whole table with two numpy calls.  The CPU-side detector and locator operate
 directly on these arrays (boolean "used" masks over symbol indices).
+
+A parsed table is zero-copy: ``entries`` is a read-only array over the
+library's own ``.symtab`` bytes and the names stay encoded in its
+``.strtab``.  Nothing on the debloat or serving path reads names, so they
+are decoded only on first use of :attr:`SymbolTable.names` (one name:
+:meth:`SymbolTable.name`).  Parsing still checks every name up front, so a
+table that parses always decodes.
 """
 
 from __future__ import annotations
@@ -31,18 +38,43 @@ assert SYM_DTYPE.itemsize == C.SYM_SIZE
 
 
 class SymbolTable:
-    """A symbol table: parallel numpy fields plus decoded names."""
+    """A symbol table: parallel numpy fields plus names, decoded on demand.
 
-    def __init__(self, entries: np.ndarray, names: list[str]) -> None:
+    Built either from decoded ``names`` (the generator, tests) or, by
+    :meth:`parse`, over a string table whose names it decodes lazily.
+    """
+
+    def __init__(
+        self,
+        entries: np.ndarray,
+        names: list[str] | None = None,
+        strtab: StringTable | None = None,
+    ) -> None:
         if entries.dtype != SYM_DTYPE:
             raise ValueError("entries must use SYM_DTYPE")
-        if len(entries) != len(names):
+        if (names is None) == (strtab is None):
+            raise ValueError("give exactly one of names and strtab")
+        if names is not None and len(entries) != len(names):
             raise ValueError("entries/names length mismatch")
         # Tables are shared between a library, its copies and every library
         # debloated from it, so a table is never mutated in place.
         entries.flags.writeable = False
         self.entries = entries
-        self.names = names
+        self._names = names
+        self._strtab = strtab
+
+    @property
+    def names(self) -> list[str]:
+        """Every symbol's name (decoded and cached on first access)."""
+        if self._names is None:
+            self._names = self._strtab.get_many(self.entries["st_name"])
+        return self._names
+
+    def name(self, i: int) -> str:
+        """Symbol ``i``'s name, without decoding the whole table."""
+        if self._names is not None:
+            return self._names[i]
+        return self._strtab.get(int(self.entries["st_name"][i]))
 
     # -- constructors -----------------------------------------------------------
 
@@ -114,13 +146,30 @@ class SymbolTable:
         return entries.tobytes()
 
     @classmethod
-    def parse(cls, data: bytes, strtab_blob: bytes) -> "SymbolTable":
+    def parse(
+        cls, data: bytes | memoryview, strtab_blob: bytes | memoryview
+    ) -> "SymbolTable":
+        """A table over ``data`` (no copy) and names in ``strtab_blob``.
+
+        Rejects a name offset past the end of the string table and a name
+        that is not valid UTF-8.  An all-ASCII string table cannot hold the
+        latter, so its names stay encoded until asked for; any other table
+        is decoded here.
+        """
         if len(data) % C.SYM_SIZE != 0:
             raise ElfFormatError("symbol table size not a multiple of entry size")
-        entries = np.frombuffer(data, dtype=SYM_DTYPE).copy()
-        table = StringTable(strtab_blob) if strtab_blob else None
-        if table is None:
-            names = [""] * len(entries)
-        else:
-            names = table.get_many(entries["st_name"].astype(np.int64))
-        return cls(entries, names)
+        entries = np.frombuffer(data, dtype=SYM_DTYPE)
+        if not strtab_blob:
+            return cls(entries, [""] * len(entries))
+        table = StringTable(strtab_blob)
+        offsets = entries["st_name"]
+        past_end = np.flatnonzero(offsets >= len(table))
+        if past_end.size:
+            i = int(past_end[0])
+            raise ElfFormatError(
+                f"symbol {i}: st_name {int(offsets[i])} is past the end of "
+                f"the {len(table)}-byte string table"
+            )
+        if table.is_ascii():
+            return cls(entries, strtab=table)
+        return cls(entries, table.get_many(offsets))

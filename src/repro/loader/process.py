@@ -134,7 +134,7 @@ class ProcessImage:
                 hit = removed_mask[indices]
                 if hit.any():
                     bad = int(indices[hit][0])
-                    name = loaded.lib.symtab.names[bad]
+                    name = loaded.lib.symtab.name(bad)
                     raise MissingFunctionError(
                         f"{soname}: call into removed function {name!r} "
                         f"(zeroed by debloating)"

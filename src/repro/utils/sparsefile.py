@@ -7,7 +7,8 @@ fatbin headers, kernel name tables).  :class:`SparseFile` stores written
 extents over an all-zero backdrop and reads holes back as zero bytes, exactly
 like a sparse file on a POSIX filesystem.  ``logical_size`` is the file size
 used in all accounting; ``materialized_size`` is the number of bytes actually
-stored.
+stored.  :meth:`SparseFile.view` hands out zero-copy read-only views of
+stored bytes, so parsed tables can live in the file's own chunks.
 
 Extent bookkeeping is array-backed: chunk starts/ends live in two sorted
 ``int64`` arrays (the same normalized form as
@@ -163,14 +164,17 @@ class SparseFile:
                 row += 1
             self._chunks[chunk_i] = bytes(buf)
 
-    def read(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes at ``offset``; holes read back as zeros."""
+    def _check_range(self, offset: int, size: int) -> None:
         if offset < 0 or size < 0:
             raise ValueError("offset and size must be non-negative")
         if offset + size > self._size:
             raise ValueError(
                 f"read past end of file: [{offset}, {offset + size}) > {self._size}"
             )
+
+    def read(self, offset: int, size: int) -> bytes:
+        """Read ``size`` bytes at ``offset``; holes read back as zeros."""
+        self._check_range(offset, size)
         out = bytearray(size)
         end = offset + size
         lo = int(np.searchsorted(self._ends, offset, side="right"))
@@ -182,6 +186,22 @@ class SparseFile:
             if a < b:
                 out[a - offset : b - offset] = c[a - s : b - s]
         return bytes(out)
+
+    def view(self, offset: int, size: int) -> memoryview:
+        """Read-only ``memoryview`` of ``size`` bytes at ``offset``.
+
+        Zero-copy when the range lies inside one stored extent; otherwise
+        (it touches a hole or spans extents) a view over :meth:`read`.
+        Chunks are immutable ``bytes`` - writes and hole punches replace
+        them - so a view keeps the bytes it was taken from and never goes
+        stale.
+        """
+        self._check_range(offset, size)
+        i = int(np.searchsorted(self._starts, offset, side="right")) - 1
+        if size and i >= 0 and int(self._ends[i]) >= offset + size:
+            at = offset - int(self._starts[i])
+            return memoryview(self._chunks[i])[at : at + size]
+        return memoryview(self.read(offset, size))
 
     def zero(self, offset: int, size: int) -> None:
         """Punch a hole: bytes in ``[offset, offset+size)`` read back as zero."""

@@ -4,6 +4,8 @@ Recovery's contract is byte-identity: after ``close()`` (or a crash) and
 a fresh ``open()``, the recovered store's ``export_state()`` bytes equal
 the committed pre-crash state, with **zero** workload runs - replay goes
 through the warm pipeline cache exactly like the snapshot import path.
+With the pipeline cache off, replay has no cached usage and runs each
+admitted workload once instead.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from repro.api.config import DurabilityConfig
 from repro.core import serialize
 from repro.core.debloat import DebloatOptions
 from repro.errors import ConfigurationError, UsageError
+from repro.experiments import common as excommon
+from repro.experiments.diskcache import DiskReportCache
 from repro.testing import faults
 from repro.workloads import runner as runner_mod
 
@@ -69,9 +73,22 @@ def forbid_workload_runs():
         runner_mod.WorkloadRunner.run = original
 
 
+@pytest.fixture()
+def pinned_cache(tmp_path, monkeypatch):
+    """An enabled pipeline cache on this test's own directory, so the
+    zero-run recovery contract holds under ``REPRO_PIPELINE_CACHE=0`` too."""
+    cache = excommon.PipelineCache(
+        enabled=True,
+        disk=DiskReportCache(directory=tmp_path / "pipeline-cache"),
+    )
+    monkeypatch.setattr(excommon, "PIPELINE_CACHE", cache)
+    return cache
+
+
 # -- recovery -----------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("pinned_cache")
 class TestRecovery:
     def test_replay_is_byte_identical_with_zero_runs(self, tmp_path):
         cfg = durable_config(tmp_path)
@@ -220,6 +237,32 @@ class TestRecovery:
             stats = engine.stats()
             assert stats["wal_appended"] == 1
             assert stats["wal_lag"] == 1
+
+    def test_cache_off_replay_runs_each_admission_once(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            excommon, "PIPELINE_CACHE", excommon.PipelineCache(enabled=False)
+        )
+        admitted = (*PT_IDS[:2], TF_ID)
+        cfg = durable_config(tmp_path)
+        with DebloatEngine(cfg) as engine:
+            for wid in admitted:
+                engine.admit(AdmitRequest(workload_id=wid))
+            committed = export_bytes(engine)
+
+        runs: list[str] = []
+        original = runner_mod.WorkloadRunner.run
+
+        def counting_run(runner_self, *args, **kwargs):
+            runs.append(runner_self.spec.workload_id)
+            return original(runner_self, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod.WorkloadRunner, "run", counting_run)
+        with DebloatEngine(cfg) as engine:
+            assert engine.recovery["replayed"] == len(admitted)
+            assert export_bytes(engine) == committed
+        assert sorted(runs) == sorted(admitted)
 
     def test_checkpoint_requires_durability(self):
         cfg = EngineConfig(scale=TEST_SCALE, options=OPTS)

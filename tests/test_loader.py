@@ -88,6 +88,7 @@ class TestCallFunctions:
         with pytest.raises(MissingFunctionError) as err:
             p.call_functions(lib.soname, np.array([2]))
         assert "fn_2" in str(err.value)
+        assert lib.symtab._names is None  # named without decoding the table
 
     def test_lazy_mode_charges_touched_code(self, small_library):
         p = make_process(LoadingMode.LAZY)

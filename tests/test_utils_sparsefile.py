@@ -169,6 +169,57 @@ class TestConversions:
         assert f.extents() == RangeSet([Range(10, 12), Range(50, 52)])
 
 
+class TestView:
+    def test_inside_one_extent_is_zero_copy(self):
+        f = SparseFile(100)
+        f.write(10, b"hello world")
+        v = f.view(12, 5)
+        assert v.readonly
+        assert bytes(v) == b"llo w"
+        assert v.obj is f._chunks[0]
+
+    def test_spanning_holes_or_extents_falls_back_to_read(self):
+        f = SparseFile(100)
+        f.write(10, b"ab")
+        f.write(20, b"cd")
+        assert bytes(f.view(9, 14)) == f.read(9, 14)
+        assert bytes(f.view(40, 4)) == bytes(4)
+        assert bytes(f.view(5, 0)) == b""
+
+    def test_out_of_bounds_rejected(self):
+        f = SparseFile(10)
+        with pytest.raises(ValueError):
+            f.view(8, 4)
+        with pytest.raises(ValueError):
+            f.view(-1, 2)
+
+    @settings(max_examples=150)
+    @given(
+        writes=st.lists(
+            st.tuples(st.integers(0, 60), st.binary(min_size=1, max_size=16)),
+            max_size=6,
+        ),
+        at=st.integers(0, 63),
+        size=st.integers(0, 16),
+        later=st.lists(
+            st.tuples(st.integers(0, 60), st.binary(min_size=1, max_size=16)),
+            max_size=4,
+        ),
+    )
+    def test_view_equals_read_and_never_goes_stale(self, writes, at, size, later):
+        f = SparseFile(80)
+        for offset, data in writes:
+            f.write(offset, data)
+        size = min(size, f.logical_size - at)
+        v = f.view(at, size)
+        before = f.read(at, size)
+        assert bytes(v) == before
+        for offset, data in later:
+            f.write(offset, data)
+        f.zero(at, size)
+        assert bytes(v) == before
+
+
 # -- model-based property test ------------------------------------------------
 
 _ops = st.lists(
